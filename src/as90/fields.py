@@ -417,13 +417,23 @@ def frobenius(a: FieldElem, k: int = 1) -> FieldElem:
 
 
 def _trace_matrix(ctx: FieldCtx, d: int):
+    """Matrix of the trace onto the degree-d subfield, S(m) = sum_{k<m} F^k
+    with F = _frob_matrix(ctx, d) and m = n/d, cached per context.
+
+    Built by doubling along the binary expansion of m, with
+    S(2k) = S(k) + F^k S(k) and S(k+1) = S(k) + F^k, so it takes
+    O(log m) matrix products instead of m - 1.
+    """
     cache = ctx._cache.setdefault("trace", {})
     if d not in cache:
-        acc = _mat_identity(ctx.n)
-        total = acc
-        for _ in range(ctx.n // d - 1):
-            acc = _mat_mul(acc, _frob_matrix(ctx, d), ctx.p)
-            total = _mat_add(total, acc, ctx.p)
+        p, frob = ctx.p, _frob_matrix(ctx, d)
+        total, power = _mat_identity(ctx.n), frob  # S(1) and F^1
+        for bit in bin(ctx.n // d)[3:]:
+            total = _mat_add(total, _mat_mul(power, total, p), p)
+            power = _mat_mul(power, power, p)
+            if bit == "1":
+                total = _mat_add(total, power, p)
+                power = _mat_mul(power, frob, p)
         cache[d] = total
     return cache[d]
 
@@ -717,17 +727,82 @@ def _split_linear(g, ctx: FieldCtx) -> list[FieldElem]:
 _EMBED_CACHE: dict[tuple[FieldCtx, FieldCtx], FieldElem] = {}
 
 
+def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
+    """Some root in ctx of g, a monic irreducible over F_p of degree d | n.
+
+    Berlekamp's trace split.  For a in ctx, the absolute trace
+    T(u) = sum_{k<n} u^(p^k) of u = aX in ctx[X]/g is
+    sum_{k<n} phi^k(a) (X^(p^k) mod g), where phi: x -> x^p.  The
+    X^(p^k) mod g have F_p coefficients and repeat with period d, so
+    T(aX) costs n Frobenius steps and no field multiplication.  At each
+    root theta of g, w = T(aX) + s takes the value Tr(a theta) + s in
+    F_p, so gcd(w, h) (p = 2) or gcd(w^((p-1)/2) - 1, h) (odd p) splits
+    the current factor h by those values.  For random a and s in F_p
+    each pair of roots lands on different sides with probability at
+    least 4/9; the smaller side is kept until h is linear.
+    """
+    p, n, d = ctx.p, ctx.n, g.degree
+    frob = _frob_matrix(ctx, 1)
+    conj = [PrimePoly.x(p)]
+    for _ in range(d - 1):
+        conj.append(conj[-1].pow_mod(p, g))
+    rng = Random(0xE17)
+    h = [ctx.elem(c) for c in g.coeffs]
+    guard = 0
+    while len(h) > 2:
+        guard += 1
+        if guard > 400 * d:
+            raise RuntimeError("root splitting failed to converge")
+        a = ctx.random_element(rng).coeffs
+        folded = [[0] * n for _ in range(d)]  # sum of phi^k(a) over k = j mod d
+        for k in range(n):
+            folded[k % d] = [x + y for x, y in zip(folded[k % d], a)]
+            a = _mat_vec(frob, a, p)
+        w = [[0] * n for _ in range(d)]
+        for j, aj in enumerate(folded):
+            for i, c in enumerate(conj[j].coeffs):
+                if c:
+                    w[i] = [x + c * y for x, y in zip(w[i], aj)]
+        w = [FieldElem(ctx, tuple(x % p for x in row)) for row in w]
+        w[0] = w[0] + rng.randrange(p)
+        w = _fp_mod(_fp_trim(w), h, ctx)
+        if p != 2:
+            w = _fp_powmod(w, (p - 1) // 2, h, ctx) or [ctx.zero()]
+            w = _fp_trim([w[0] - 1] + w[1:])
+        f = _fp_gcd(w, h, ctx)
+        if 1 < len(f) < len(h):
+            h = f if 2 * len(f) <= len(h) + 1 else _fp_divmod(h, f, ctx)[0]
+    return -h[0]
+
+
 def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
+    """Image in dst of the generator t of src, cached per context pair.
+
+    For a different presentation this is the root of the source modulus
+    g in dst that is smallest by coefficient tuple, the same element as
+    ``roots_in_field(g, dst)[0]``.  g is irreducible over F_p of degree
+    d | n, so its roots are the d distinct conjugates phi^i(theta),
+    i < d, of any one root theta; ``_one_root`` finds one and the
+    smallest conjugate is kept.
+    """
     key = (src, dst)
     if key not in _EMBED_CACHE:
         if src.n == dst.n and src.modulus == dst.modulus:
             theta = dst.gen()
         else:
-            candidates = roots_in_field(
-                [dst.elem(c) for c in src.modulus.coeffs], dst
-            )
-            assert candidates, "an irreducible of dividing degree must split"
-            theta = candidates[0]
+            g = src.modulus
+            frob = _frob_matrix(dst, 1)
+            orbit = [_one_root(g, dst).coeffs]
+            for _ in range(g.degree - 1):
+                orbit.append(_mat_vec(frob, orbit[-1], dst.p))
+            if len(set(orbit)) != g.degree:
+                raise RuntimeError(f"conjugates of a root of {g} are not distinct")
+            theta = FieldElem(dst, min(orbit))
+            value = dst.zero()
+            for c in reversed(g.coeffs):
+                value = value * theta + c
+            if not value.is_zero():
+                raise RuntimeError(f"embedding image is not a root of {g}")
         _EMBED_CACHE[key] = theta
     return _EMBED_CACHE[key]
 
@@ -736,9 +811,11 @@ def subfield_embed(a: FieldElem, target: FieldCtx) -> FieldElem:
     """Canonical embedding GF(p^d) -> GF(p^n) for d | n.
 
     The generator of the source field maps to the lexicographically
-    smallest root of the source modulus in the target, fixed once per
-    context pair, so the map is a consistent ring homomorphism across
-    calls.
+    smallest root of the source modulus in the target (the generator
+    itself when both use one modulus), fixed once per context pair, so
+    the map is a consistent ring homomorphism across calls.  That root
+    is found as one root by a trace split, then the least of its d
+    Frobenius conjugates, which are all the roots.
     """
     src = a.ctx
     if src == target:

@@ -13,15 +13,27 @@ from __future__ import annotations
 import re
 from random import Random
 
-from .errors import DivisionByZero, NotPrime, ZeroPolynomial
+from .errors import DivisionByZero, FactorizationTooHard, NotPrime, ZeroPolynomial
 
 _TERM_RE = re.compile(r"^(\d*)\s*\*?\s*t(?:\^(\d+))?$")
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprimes to all of the bases 2..37 (psi_12) and
+# 2..41 (psi_13); Sorenson & Webster, Math. Comp. 2017.
+_PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic primality test, exact for every m < 3.3e24."""
+    """Deterministic primality test: Miller-Rabin to the bases 2..41,
+    proven exact for every m below psi_13 = 3317044064679887385961981.
+    Larger m are refused with FactorizationTooHard rather than answered.
+    Below psi_12 the bases 2..37 already suffice, and base 41 is skipped."""
+    if m >= _PSI_13:
+        raise FactorizationTooHard(
+            f"{m} is beyond {_PSI_13}, the bound below which "
+            "the primality test is proven exact"
+        )
     if m < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -31,7 +43,7 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES if m >= _PSI_12 else _SMALL_PRIMES[:-1]:
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue

@@ -1,6 +1,10 @@
 """Command-line surface: parsing, output shape, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_process(*argv, flags=()):
+    """Run the CLI of this checkout in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "as90.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 # -- element parsing -----------------------------------------------------------
@@ -292,6 +306,18 @@ def test_cyclotomic_equal_primes(capsys):
     assert code == 2
 
 
+def test_cyclotomic_pseudoprime_index_is_domain_error():
+    # psi_12 passes Miller-Rabin to bases 2..37; psi_13 lies beyond the
+    # range where bases 2..41 are proven.  Taken for primes, either one
+    # would send ord_mod on a walk of about r steps.
+    for r, message in (("318665857834031151167461", "is not prime"),
+                       ("3317044064679887385961981", "beyond")):
+        proc = run_process("cyclotomic", "--r", r, "--p", "2", "--json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_tensor_text(capsys):
     code, out, _ = run(
         capsys, "tensor", "--p", "2", "--a", "t^2+t+1", "--b", "t^3+t^2+1"
@@ -319,6 +345,16 @@ def test_bigsearch_json(capsys):
 
 
 # -- misc ---------------------------------------------------------------------------
+
+def test_optimized_interpreter_same_output():
+    # no check that guards an output may vanish under python -O
+    argv = ("root", "--p", "2", "--n", "16", "--y", "t+t^2", "--json")
+    plain = run_process(*argv)
+    optimized = run_process(*argv, flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["verified"] is True
+
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:

@@ -17,8 +17,13 @@ from as90.errors import (
     NotPrime,
     ReducibleModulus,
 )
+from as90 import fields
+from as90.artin_schreier import find_zeta
+from as90.bigpoly import TABLE_ROWS
 from as90.fields import (
     FieldElem,
+    _frob_matrix,
+    _trace_matrix,
     degree_over_subfield,
     discrete_log,
     element_order,
@@ -32,7 +37,7 @@ from as90.fields import (
     subfield_section,
     trace,
 )
-from as90.polys import PrimePoly
+from as90.polys import PrimePoly, _count_vectors, is_irreducible
 
 
 F4 = make_ctx(2, 2)          # modulus t^2+t+1, the only choice
@@ -223,6 +228,26 @@ def test_trace_linear_and_transitive():
             assert stepped.coeffs[0] == trace(a, 1).coeffs[0]
 
 
+def naive_trace_matrix(ctx, d):
+    """sum_{k < n/d} F^k for F = _frob_matrix(ctx, d), one product per term."""
+    n, p, frob = ctx.n, ctx.p, _frob_matrix(ctx, d)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    total = [row[:] for row in power]
+    for _ in range(n // d - 1):
+        power = [[sum(power[i][k] * frob[k][j] for k in range(n)) % p for j in range(n)]
+                 for i in range(n)]
+        total = [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(total, power)]
+    return total
+
+
+@pytest.mark.parametrize("p, n, d", [
+    (2, 32, 1), (3, 12, 2), (5, 9, 3), (2, 13, 1), (7, 14, 1), (2, 12, 12),
+])
+def test_trace_matrix_doubling_matches_naive_sum(p, n, d):
+    ctx = make_ctx(p, n, f=d)
+    assert _trace_matrix(ctx, d) == naive_trace_matrix(ctx, d)
+
+
 def test_trace_default_is_subfield_step():
     ctx = make_ctx(2, 12, f=3)
     a = ctx.gen()
@@ -337,6 +362,63 @@ def test_subfield_section_round_trip():
         assert subfield_section(subfield_embed(z, ctx), F16) == z
     with pytest.raises(NoEmbedding):
         subfield_section(ctx.gen(), F16)  # degree 12 over F_2, not in GF(16)
+
+
+def last_irreducible(p, n):
+    """The monic irreducible of degree n that default_modulus would reach
+    last; another modulus than the default wherever there are two."""
+    for low in reversed(list(_count_vectors(p, n))):
+        g = PrimePoly(p, low + (1,))
+        if is_irreducible(g):
+            return g
+
+
+def reference_image(src, dst):
+    return roots_in_field([dst.elem(c) for c in src.modulus.coeffs], dst)[0]
+
+
+def embedding_grid():
+    for p in (2, 3, 5, 7):
+        for f in (1, 2):
+            dst = make_ctx(p, 4, f=f)
+            yield make_ctx(p, 1), dst
+            yield make_ctx(p, 1, modulus=PrimePoly(p, (p - 1, 1))), dst  # root 1
+            yield make_ctx(p, 2), dst
+            yield make_ctx(p, 2, modulus=last_irreducible(p, 2)), dst
+            yield make_ctx(p, 4, modulus=last_irreducible(p, 4)), dst
+    yield make_ctx(5, 2, modulus="t^2+2"), make_ctx(5, 4)  # roots +-theta, -1 a square
+    yield make_ctx(2, 3), make_ctx(2, 6, f=2)
+    yield make_ctx(2, 6, modulus=last_irreducible(2, 6)), make_ctx(2, 6, f=3)
+    for p in (3, 5, 7):
+        yield find_zeta(p).ctx, make_ctx(p, 2 * p)
+    for e in (8, 16):
+        yield make_ctx(2, e, modulus=TABLE_ROWS[e][1]), make_ctx(2, 16)
+    yield make_ctx(2, 8, modulus=TABLE_ROWS[8][1]), make_ctx(2, 8)
+
+
+def test_embedding_image_is_least_root():
+    # differential: the Frobenius-orbit image against the full root list
+    for src, dst in embedding_grid():
+        theta = fields._embedding_image(src, dst)
+        assert theta == reference_image(src, dst), (src, dst)
+        if src.n > 1:
+            assert subfield_embed(src.gen(), dst) == theta
+
+
+@pytest.mark.parametrize("sub, big", [
+    (make_ctx(3, 2), make_ctx(3, 6)),
+    (make_ctx(5, 2, modulus="t^2+2"), make_ctx(5, 4)),
+    (make_ctx(7, 2), make_ctx(7, 4, f=2)),
+    (make_ctx(3, 2, modulus="t^2+t+2"), make_ctx(3, 8, f=4)),
+    (make_ctx(2, 4, f=2), make_ctx(2, 12, f=4)),
+])
+def test_subfield_section_inverts_embed(sub, big):
+    rng = Random(17)
+    for _ in range(10):
+        a = sub.random_element(rng)
+        image = subfield_embed(a, big)
+        assert subfield_section(image, sub) == a
+        assert image ** sub.order == image
 
 
 def test_embed_rejections():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from as90.errors import DivisionByZero, NotPrime
+from as90.errors import DivisionByZero, FactorizationTooHard, NotPrime
 from as90.polys import (
     PrimePoly,
     default_modulus,
@@ -32,6 +32,25 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 - 1)
+
+
+def test_is_prime_strong_pseudoprime_to_bases_through_37():
+    # psi_12, the least strong pseudoprime to every base 2..37; base 41
+    # exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_beyond_proven_range():
+    # bases 2..41 are proven exact only below psi_13, itself a strong
+    # pseudoprime to all of them
+    psi13 = 3317044064679887385961981
+    assert not is_prime(psi13 - 1)
+    for m in (psi13, 2**89 - 1):
+        with pytest.raises(FactorizationTooHard):
+            is_prime(m)
 
 
 def test_parse_human_form():
