@@ -7,15 +7,29 @@ sigma: x -> x^q, whose fixed field is the "base" F = GF(q) that traces
 and the Hilbert-90 formulas refer to.  Contexts are immutable values;
 elements of distinct contexts never mix silently.
 
+Elements are tuples of n coefficients in range(p).  The arithmetic on
+them runs in packed F_p kernels (Kronecker substitution; von zur
+Gathen & Gerhard, Modern Computer Algebra, 8.4): a coefficient vector
+is packed into one Python int with a slot of w bytes per coefficient,
+w large enough that no sum of n products of residues overflows a slot.
+One big-int product of two packed elements is then the packed product
+polynomial, and ``int.to_bytes`` with a reduction mod p per slot
+unpacks it, so the inner loops run in C.  The top n - 1 coefficients
+are folded back with cached packed columns of t^(n+k) mod g.
+
 Frobenius maps, traces and subfield tests are F_p-linear, so each
-context lazily caches the n x n matrices that realize them; after the
-first call these operations cost one matrix-vector product.
+context lazily caches the n x n matrices that realize them, together
+with their packed columns; after the first call these operations cost
+one matrix-vector product, sum_c v_c * column_c over packed columns.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+import operator
 from random import Random
 
 from .errors import (
@@ -46,7 +60,6 @@ class FieldCtx:
     n: int
     modulus: PrimePoly
     f: int = 1
-    generator_hint: tuple | None = field(default=None, compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -117,7 +130,7 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def _make_ctx_cached(p, n, modulus, f, generator_hint):
+def _make_ctx_cached(p, n, modulus, f):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
@@ -138,10 +151,10 @@ def _make_ctx_cached(p, n, modulus, f, generator_hint):
         modulus = modulus.monic()
         if not is_irreducible(modulus):
             raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
-    return FieldCtx(p, n, modulus, f, generator_hint)
+    return FieldCtx(p, n, modulus, f)
 
 
-def make_ctx(p: int, n: int, modulus=None, f: int = 1, generator_hint=None) -> FieldCtx:
+def make_ctx(p: int, n: int, modulus=None, f: int = 1) -> FieldCtx:
     """Build a validated field context.
 
     Without an explicit modulus the lexicographically smallest monic
@@ -154,13 +167,117 @@ def make_ctx(p: int, n: int, modulus=None, f: int = 1, generator_hint=None) -> F
         modulus = PrimePoly.parse(modulus, p)
     elif isinstance(modulus, (list, tuple)):
         modulus = PrimePoly(p, modulus)
-    if generator_hint is not None:
-        generator_hint = tuple(generator_hint)
-    return _make_ctx_cached(p, n, modulus, f, generator_hint)
+    return _make_ctx_cached(p, n, modulus, f)
+
+
+# -- packed F_p kernels -------------------------------------------------------
+
+_ORDER = sys.byteorder
+_ARRAY_CODE = {w: next(c for c in "HILQ" if array(c).itemsize == w) for w in (2, 4, 8)}
+
+
+def _packer(p: int, n: int):
+    """Slot width and (pack, unpack) for F_p vectors in degree n.
+
+    A slot of w bytes holds n (p-1)^2, the largest sum of n products of
+    residues, so products, matrix-vector products and the reduction
+    never carry out of a slot.  w is 1, 2, 4 or 8 bytes (the native
+    array widths), or the exact byte count above that, where slots are
+    moved by shifts.  ``pack`` takes a sequence of ints in range(256^w);
+    ``unpack(x, k)`` returns the k slots of x reduced mod p, as bytes
+    when w = 1 and a list otherwise.
+    """
+    w = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+    w = next((k for k in (1, 2, 4, 8) if w <= k), w)
+    if w == 1:
+        table = bytes(i % p for i in range(256))
+
+        def pack(cs):
+            return int.from_bytes(bytes(cs), _ORDER)
+
+        def unpack(x, k):
+            return x.to_bytes(k, _ORDER).translate(table)
+    elif w <= 8:
+        code = _ARRAY_CODE[w]
+
+        def pack(cs):
+            return int.from_bytes(array(code, cs).tobytes(), _ORDER)
+
+        def unpack(x, k):
+            return [c % p for c in memoryview(x.to_bytes(k * w, _ORDER)).cast(code)]
+    else:
+        bits = 8 * w
+        mask = (1 << bits) - 1
+
+        def pack(cs):
+            x = 0
+            for c in reversed(cs):
+                x = x << bits | c
+            return x
+
+        def unpack(x, k):
+            return [(x >> s & mask) % p for s in range(0, k * bits, bits)]
+    return w, pack, unpack
+
+
+class _Kernel:
+    """Packed arithmetic of one field context, kept in ``ctx._cache``.
+
+    ``red[k]`` is the packed vector of t^(n+k) mod g for k < n - 1, so a
+    product polynomial sum_i c_i t^i reduces to
+    sum_{i<n} c_i t^i + sum_k c_(n+k) red[k] in one pass.
+    """
+
+    __slots__ = ("p", "n", "pack", "unpack", "red")
+
+    def __init__(self, ctx: FieldCtx):
+        p, n, g = ctx.p, ctx.n, ctx.modulus.coeffs
+        self.p, self.n = p, n
+        _, self.pack, self.unpack = _packer(p, n)
+        t_n = self.pack([-c % p for c in g[:n]])  # t^n = -(g_0 + ... + g_(n-1) t^(n-1))
+        self.red, col = [], t_n
+        for _ in range(n - 1):  # t^(n+k+1) = t * t^(n+k): shift, fold the top slot
+            self.red.append(col)
+            cs = self.unpack(col, n)
+            col = self.pack(self.unpack(self.pack([0, *cs[:-1]]) + cs[-1] * t_n, n))
+
+    def mul(self, a, b) -> tuple:
+        pack, unpack, n = self.pack, self.unpack, self.n
+        prod = unpack(pack(a) * pack(b), 2 * n - 1)
+        low = pack(prod[:n]) + sum(map(operator.mul, prod[n:], self.red))
+        return tuple(unpack(low, n))
+
+    def add(self, a, b) -> tuple:
+        return tuple(self.unpack(self.pack(a) + self.pack(b), self.n))
+
+    def sub(self, a, b) -> tuple:
+        return tuple(self.unpack(self.pack(a) + (self.p - 1) * self.pack(b), self.n))
+
+    def neg(self, a) -> tuple:
+        return tuple(self.unpack((self.p - 1) * self.pack(a), self.n))
+
+    def combine(self, scalars, packed) -> tuple:
+        """sum_c scalars[c] * packed[c], unpacked: with the packed columns
+        of a matrix this is the matrix-vector product."""
+        return tuple(self.unpack(sum(map(operator.mul, scalars, packed)), self.n))
+
+
+def _kernel(ctx: FieldCtx) -> _Kernel:
+    kern = ctx._cache.get("kernel")
+    if kern is None:
+        kern = ctx._cache["kernel"] = _Kernel(ctx)
+    return kern
 
 
 class FieldElem:
-    """An element of a :class:`FieldCtx`, stored as a coefficient tuple."""
+    """An element of a :class:`FieldCtx`, stored as a coefficient tuple.
+
+    ``coeffs`` holds exactly n ints, each already reduced to range(p),
+    low degree first.  The packed kernels rely on that invariant: a
+    coefficient outside range(p) could overflow its slot.  Every
+    constructor in this module keeps it, and callers that build a
+    FieldElem directly must too (``FieldCtx.elem`` reduces any input).
+    """
 
     __slots__ = ("ctx", "coeffs")
 
@@ -173,7 +290,7 @@ class FieldElem:
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise CtxMismatch(
                     f"cannot mix elements of {self.ctx} and {other.ctx}"
                 )
@@ -188,25 +305,18 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        p = self.ctx.p
-        return FieldElem(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return FieldElem(self.ctx, _kernel(self.ctx).add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElem(self.ctx, tuple(-a % p for a in self.coeffs))
+        return FieldElem(self.ctx, _kernel(self.ctx).neg(self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        p = self.ctx.p
-        return FieldElem(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return FieldElem(self.ctx, _kernel(self.ctx).sub(self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -215,23 +325,7 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        ctx = self.ctx
-        p = ctx.p
-        a, b = self.coeffs, o.coeffs
-        n = ctx.n
-        out = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        mod = ctx.modulus.coeffs
-        for k in range(2 * n - 2, n - 1, -1):
-            c = out[k] % p
-            if c:
-                for i in range(n):
-                    out[k - n + i] -= c * mod[i]
-            out[k] = 0
-        return FieldElem(ctx, tuple(c % p for c in out[:n]))
+        return FieldElem(self.ctx, _kernel(self.ctx).mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -241,7 +335,8 @@ class FieldElem:
         from .polys import xgcd
 
         g, s, _ = xgcd(self.to_poly(), self.ctx.modulus)
-        assert g.degree == 0
+        if g.degree != 0:
+            raise RuntimeError(f"{self} has no inverse modulo {self.ctx.modulus}")
         inv = s * pow(g.coeffs[0], -1, self.ctx.p)
         return self.ctx.elem(inv)
 
@@ -269,7 +364,7 @@ class FieldElem:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -284,7 +379,7 @@ class FieldElem:
         return hash(self.coeffs)
 
     def to_poly(self) -> PrimePoly:
-        return PrimePoly(self.ctx.p, self.coeffs)
+        return PrimePoly._of(self.ctx.p, self.coeffs)
 
     def __str__(self) -> str:
         return str(self.to_poly())
@@ -300,18 +395,26 @@ def _mat_identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(a, b, p: int):
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+def _mat_mul(a, b, kern: _Kernel):
+    """a b for dense n x n matrices: row r is sum_k a[r][k] (row k of b),
+    over packed rows of b."""
+    rows = [kern.pack(r) for r in b]
+    return [list(kern.combine(r, rows)) for r in a]
 
 
-def _mat_vec(a, v, p: int):
-    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+def _mat_add(a, b, kern: _Kernel):
+    return [list(kern.add(x, y)) for x, y in zip(a, b)]
 
 
-def _mat_add(a, b, p: int):
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _packed_columns(ctx: FieldCtx, kind: str, key: int, dense):
+    """Packed columns of the cached matrix ``dense(ctx, key)``, cached
+    beside it as ``ctx._cache[kind][key]``."""
+    cache = ctx._cache.setdefault(kind, {})
+    cols = cache.get(key)
+    if cols is None:
+        pack = _kernel(ctx).pack
+        cols = cache[key] = [pack(col) for col in zip(*dense(ctx, key))]
+    return cols
 
 
 def nullspace(mat, p: int) -> list[tuple]:
@@ -388,32 +491,34 @@ def _frob_matrix(ctx: FieldCtx, j: int):
     cache = ctx._cache.setdefault("frob", {})
     if j in cache:
         return cache[j]
+    kern = _kernel(ctx)
     if 0 not in cache:
         cache[0] = _mat_identity(ctx.n)
-    if 1 not in cache and ctx.n > 0:
-        cols = []
-        xp = PrimePoly.x(ctx.p).pow_mod(ctx.p, ctx.modulus)
-        col = PrimePoly.one(ctx.p)
-        for _ in range(ctx.n):
-            cs = list(col.coeffs) + [0] * (ctx.n - len(col.coeffs))
-            cols.append(cs)
-            col = col * xp % ctx.modulus
-        cache[1] = [[cols[i][r] for i in range(ctx.n)] for r in range(ctx.n)]
+    if 1 not in cache:
+        xp = ctx.elem(PrimePoly.x(ctx.p).pow_mod(ctx.p, ctx.modulus)).coeffs
+        cols = [ctx.one().coeffs]  # column i is t^(p i) = (t^p)^i
+        for _ in range(ctx.n - 1):
+            cols.append(kern.mul(cols[-1], xp))
+        cache[1] = [list(row) for row in zip(*cols)]
     k = max(i for i in cache if i <= j)
     mat = cache[k]
     while k < j:
-        mat = _mat_mul(mat, cache[1], ctx.p)
+        mat = _mat_mul(mat, cache[1], kern)
         k += 1
         cache[k] = mat
     return cache[j]
+
+
+def _frob_cols(ctx: FieldCtx, j: int):
+    """Packed columns of _frob_matrix(ctx, j)."""
+    return _packed_columns(ctx, "frob_cols", j % ctx.n, _frob_matrix)
 
 
 def frobenius(a: FieldElem, k: int = 1) -> FieldElem:
     """sigma^k(a) = a^(q^k), where sigma is the designated generator
     x -> x^q of the Galois group over GF(q).  k may be any integer."""
     ctx = a.ctx
-    j = (ctx.f * k) % ctx.n
-    return FieldElem(ctx, _mat_vec(_frob_matrix(ctx, j), a.coeffs, ctx.p))
+    return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, _frob_cols(ctx, ctx.f * k)))
 
 
 def _trace_matrix(ctx: FieldCtx, d: int):
@@ -426,14 +531,14 @@ def _trace_matrix(ctx: FieldCtx, d: int):
     """
     cache = ctx._cache.setdefault("trace", {})
     if d not in cache:
-        p, frob = ctx.p, _frob_matrix(ctx, d)
+        kern, frob = _kernel(ctx), _frob_matrix(ctx, d)
         total, power = _mat_identity(ctx.n), frob  # S(1) and F^1
         for bit in bin(ctx.n // d)[3:]:
-            total = _mat_add(total, _mat_mul(power, total, p), p)
-            power = _mat_mul(power, power, p)
+            total = _mat_add(total, _mat_mul(power, total, kern), kern)
+            power = _mat_mul(power, power, kern)
             if bit == "1":
-                total = _mat_add(total, power, p)
-                power = _mat_mul(power, frob, p)
+                total = _mat_add(total, power, kern)
+                power = _mat_mul(power, frob, kern)
         cache[d] = total
     return cache[d]
 
@@ -446,7 +551,8 @@ def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
     d = ctx.f if down_to is None else down_to
     if d < 1 or ctx.n % d != 0:
         raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
-    return FieldElem(ctx, _mat_vec(_trace_matrix(ctx, d), a.coeffs, ctx.p))
+    cols = _packed_columns(ctx, "trace_cols", d, _trace_matrix)
+    return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, cols))
 
 
 def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
@@ -456,11 +562,11 @@ def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
     d = ctx.f if d is None else d
     if d < 1 or ctx.n % d != 0:
         raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
-    mat = _frob_matrix(ctx, d)
-    cur = _mat_vec(mat, a.coeffs, ctx.p)
+    kern, cols = _kernel(ctx), _frob_cols(ctx, d)
+    cur = kern.combine(a.coeffs, cols)
     k = 1
     while cur != a.coeffs:
-        cur = _mat_vec(mat, cur, ctx.p)
+        cur = kern.combine(cur, cols)
         k += 1
     return k
 
@@ -480,18 +586,14 @@ def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
     mat = [row[:] for row in _frob_matrix(ctx, d)]
     for i in range(ctx.n):
         mat[i][i] = (mat[i][i] - 1) % p
-    basis = nullspace(mat, p)
-    assert len(basis) == d
-    out = []
-    for combo in _count_vectors(p, d):
-        v = [0] * ctx.n
-        for c, b in zip(combo, basis):
-            if c:
-                for i in range(ctx.n):
-                    v[i] = (v[i] + c * b[i]) % p
-        out.append(FieldElem(ctx, tuple(v)))
-    out = sorted(set(out), key=lambda e: e.coeffs)
-    assert len(out) == p**d
+    kern = _kernel(ctx)
+    basis = [kern.pack(b) for b in nullspace(mat, p)]
+    if len(basis) != d:
+        raise RuntimeError(f"the fixed space of x^({p}^{d}) has dimension {len(basis)}")
+    out = {FieldElem(ctx, kern.combine(combo, basis)) for combo in _count_vectors(p, d)}
+    out = sorted(out, key=lambda e: e.coeffs)
+    if len(out) != p**d:
+        raise RuntimeError(f"degree-{d} subfield has {len(out)} elements, not {p}^{d}")
     ctx._cache[key] = out
     return out
 
@@ -513,7 +615,8 @@ def element_order(a: FieldElem, factors: dict[int, int] | None = None) -> int:
                 m //= prime
             else:
                 break
-    assert a**m == 1
+    if a**m != 1:
+        raise RuntimeError(f"computed order {m} does not annihilate {a}")
     return m
 
 
@@ -742,10 +845,11 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
     least 4/9; the smaller side is kept until h is linear.
     """
     p, n, d = ctx.p, ctx.n, g.degree
-    frob = _frob_matrix(ctx, 1)
+    kern, frob = _kernel(ctx), _frob_cols(ctx, 1)
     conj = [PrimePoly.x(p)]
     for _ in range(d - 1):
         conj.append(conj[-1].pow_mod(p, g))
+    conj_rows = list(zip(*(c.coeffs + (0,) * (d - len(c.coeffs)) for c in conj)))
     rng = Random(0xE17)
     h = [ctx.elem(c) for c in g.coeffs]
     guard = 0
@@ -754,16 +858,11 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
         if guard > 400 * d:
             raise RuntimeError("root splitting failed to converge")
         a = ctx.random_element(rng).coeffs
-        folded = [[0] * n for _ in range(d)]  # sum of phi^k(a) over k = j mod d
+        folded = [0] * d  # packed sum of phi^k(a) over k = j mod d
         for k in range(n):
-            folded[k % d] = [x + y for x, y in zip(folded[k % d], a)]
-            a = _mat_vec(frob, a, p)
-        w = [[0] * n for _ in range(d)]
-        for j, aj in enumerate(folded):
-            for i, c in enumerate(conj[j].coeffs):
-                if c:
-                    w[i] = [x + c * y for x, y in zip(w[i], aj)]
-        w = [FieldElem(ctx, tuple(x % p for x in row)) for row in w]
+            folded[k % d] += kern.pack(a)
+            a = kern.combine(a, frob)
+        w = [FieldElem(ctx, kern.combine(row, folded)) for row in conj_rows]
         w[0] = w[0] + rng.randrange(p)
         w = _fp_mod(_fp_trim(w), h, ctx)
         if p != 2:
@@ -791,10 +890,10 @@ def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
             theta = dst.gen()
         else:
             g = src.modulus
-            frob = _frob_matrix(dst, 1)
+            kern, frob = _kernel(dst), _frob_cols(dst, 1)
             orbit = [_one_root(g, dst).coeffs]
             for _ in range(g.degree - 1):
-                orbit.append(_mat_vec(frob, orbit[-1], dst.p))
+                orbit.append(kern.combine(orbit[-1], frob))
             if len(set(orbit)) != g.degree:
                 raise RuntimeError(f"conjugates of a root of {g} are not distinct")
             theta = FieldElem(dst, min(orbit))

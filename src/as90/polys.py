@@ -64,6 +64,17 @@ class PrimePoly:
     def __init__(self, p: int, coeffs):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        self._fill(p, coeffs)
+
+    @classmethod
+    def _of(cls, p: int, coeffs) -> "PrimePoly":
+        """PrimePoly(p, coeffs) for a p already known to be prime: the
+        arithmetic builds its results this way, without the primality test."""
+        self = object.__new__(cls)
+        self._fill(p, coeffs)
+        return self
+
+    def _fill(self, p: int, coeffs) -> None:
         cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -202,27 +213,27 @@ class PrimePoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % self.p
-        return PrimePoly(self.p, out)
+        return PrimePoly._of(self.p, out)
 
     def __neg__(self) -> "PrimePoly":
-        return PrimePoly(self.p, [-c for c in self.coeffs])
+        return PrimePoly._of(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other: "PrimePoly") -> "PrimePoly":
         return self + (-other)
 
     def __mul__(self, other) -> "PrimePoly":
         if isinstance(other, int):
-            return PrimePoly(self.p, [c * other for c in self.coeffs])
+            return PrimePoly._of(self.p, [c * other for c in self.coeffs])
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return PrimePoly.zero(self.p)
+            return PrimePoly._of(self.p, ())
         a, b, p = self.coeffs, other.coeffs, self.p
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return PrimePoly(p, [c % p for c in out])
+        return PrimePoly._of(p, out)
 
     __rmul__ = __mul__
 
@@ -234,7 +245,7 @@ class PrimePoly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return PrimePoly.zero(p), self
+            return PrimePoly._of(p, ()), self
         inv_lead = pow(other.coeffs[-1], -1, p)
         quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
@@ -243,7 +254,7 @@ class PrimePoly:
                 quo[k] = c
                 for i, oc in enumerate(other.coeffs):
                     rem[k + i] = (rem[k + i] - c * oc) % p
-        return PrimePoly(p, quo), PrimePoly(p, rem[: other.degree])
+        return PrimePoly._of(p, quo), PrimePoly._of(p, rem[: other.degree])
 
     def __floordiv__(self, other: "PrimePoly") -> "PrimePoly":
         return divmod(self, other)[0]
@@ -266,13 +277,13 @@ class PrimePoly:
         return acc
 
     def derivative(self) -> "PrimePoly":
-        return PrimePoly(self.p, [k * c for k, c in enumerate(self.coeffs)][1:])
+        return PrimePoly._of(self.p, [k * c for k, c in enumerate(self.coeffs)][1:])
 
     def pow_mod(self, e: int, mod: "PrimePoly") -> "PrimePoly":
         """self**e reduced mod ``mod``; e may be arbitrarily large."""
         if e < 0:
             raise ValueError("negative exponent")
-        result = PrimePoly.one(self.p) % mod
+        result = PrimePoly._of(self.p, (1,)) % mod
         base = self % mod
         while e:
             if e & 1:
@@ -293,8 +304,8 @@ def xgcd(a: PrimePoly, b: PrimePoly):
     """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
     p = a.p
     r0, r1 = a, b
-    s0, s1 = PrimePoly.one(p), PrimePoly.zero(p)
-    t0, t1 = PrimePoly.zero(p), PrimePoly.one(p)
+    s0, s1 = PrimePoly._of(p, (1,)), PrimePoly._of(p, ())
+    t0, t1 = PrimePoly._of(p, ()), PrimePoly._of(p, (1,))
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -315,7 +326,7 @@ def is_irreducible(f: PrimePoly) -> bool:
         return True
     p = f.p
     fm = f.monic()
-    x = PrimePoly.x(p)
+    x = PrimePoly._of(p, (0, 1))
     if x.pow_mod(p**n, fm) != x % fm:
         return False
     for r in _prime_divisors(n):
@@ -353,13 +364,15 @@ def default_modulus(p: int, n: int) -> PrimePoly:
     cached = _DEFAULT_MODULUS_CACHE.get(key)
     if cached is not None:
         return cached
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if n == 1:
         found = PrimePoly.x(p)  # t itself: smallest monic linear
     else:
         found = None
         for c0 in range(1, p):
             for rest in _count_vectors(p, n - 1):
-                f = PrimePoly(p, (c0,) + rest + (1,))
+                f = PrimePoly._of(p, (c0,) + rest + (1,))
                 if is_irreducible(f):
                     found = f
                     break
@@ -407,7 +420,7 @@ def squarefree_decomposition(f: PrimePoly) -> list[tuple[PrimePoly, int]]:
     def p_th_root(g: PrimePoly) -> PrimePoly:
         # g has only exponents divisible by p; coefficients in F_p are
         # their own p-th roots
-        return PrimePoly(p, g.coeffs[::p])
+        return PrimePoly._of(p, g.coeffs[::p])
 
     def recurse(g: PrimePoly, mult: int):
         if g.degree <= 0:
@@ -438,7 +451,7 @@ def distinct_degree_split(f: PrimePoly) -> list[tuple[PrimePoly, int]]:
     """Split squarefree monic f into [(product of irreducibles of degree d, d)]."""
     p = f.p
     out = []
-    x = PrimePoly.x(p)
+    x = PrimePoly._of(p, (0, 1))
     h = x % f
     rest = f
     d = 0
@@ -475,7 +488,7 @@ def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[
         if g.degree == d:
             done.append(g)
             continue
-        u = PrimePoly(p, [rng.randrange(p) for _ in range(g.degree)])
+        u = PrimePoly._of(p, [rng.randrange(p) for _ in range(g.degree)])
         if u.degree < 1:
             continue
         if p == 2:
@@ -488,7 +501,7 @@ def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[
             h = gcd(g, acc)
         else:
             w = u.pow_mod((p**d - 1) // 2, g)
-            h = gcd(g, w - PrimePoly.one(p))
+            h = gcd(g, w - PrimePoly._of(p, (1,)))
         if 0 < h.degree < g.degree:
             pieces.append(h)
             pieces.append(g // h)

@@ -347,13 +347,22 @@ def test_bigsearch_json(capsys):
 # -- misc ---------------------------------------------------------------------------
 
 def test_optimized_interpreter_same_output():
-    # no check that guards an output may vanish under python -O
-    argv = ("root", "--p", "2", "--n", "16", "--y", "t+t^2", "--json")
-    plain = run_process(*argv)
-    optimized = run_process(*argv, flags=("-O",))
-    assert plain.returncode == optimized.returncode == 0
-    assert optimized.stdout == plain.stdout
-    assert json.loads(plain.stdout)["verified"] is True
+    # no check that guards an output may vanish under python -O; one
+    # command per constructor that auto dispatch reaches
+    commands = {
+        "table": ("--p", "2", "--n", "16", "--y", "t+t^2"),
+        "coprime": ("--p", "2", "--n", "3", "--y", "t+t^2"),
+        "np_p": ("--p", "3", "--n", "3", "--y", "t^3-t"),
+        "general": ("--p", "3", "--n", "9", "--y", "t^3-t"),
+    }
+    for method, args in commands.items():
+        argv = ("root", *args, "--json")
+        plain = run_process(*argv)
+        optimized = run_process(*argv, flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0, method
+        assert optimized.stdout == plain.stdout, method
+        payload = json.loads(plain.stdout)
+        assert payload["verified"] is True and payload["method"] == method
 
 
 def test_usage_error_exit_code():

@@ -485,3 +485,103 @@ def test_solve_in_span():
     combo = solve_in_span(cols, [1, 1, 0], 2)
     assert combo == [1, 1]
     assert solve_in_span(cols, [1, 0, 0], 2) is None
+
+
+# -- packed kernels against schoolbook references -------------------------------
+
+# (p, n) -> slot width in bytes: each side of every width boundary, n = 1,
+# and the two largest binary and ternary fields of the benchmark
+KERNEL_FIELDS = {
+    (2, 1): 1, (3, 1): 1, (5, 15): 1, (5, 16): 2, (17, 1): 2, (65521, 4): 8,
+    (2**32 - 5, 2): 9, (2**64 - 59, 1): 16, (2, 64): 1, (3, 40): 1,
+}
+
+
+def schoolbook_mat_vec(mat, v, p):
+    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in mat)
+
+
+def schoolbook_mat_mul(a, b, p):
+    n = len(b)
+    return [[sum(row[k] * b[k][j] for k in range(n)) % p for j in range(len(b[0]))]
+            for row in a]
+
+
+def reference_elem(ctx, poly):
+    """Coefficient tuple of a PrimePoly reduced mod the modulus."""
+    cs = (poly % ctx.modulus).coeffs
+    return cs + (0,) * (ctx.n - len(cs))
+
+
+def draw_elem(data, ctx):
+    cs = data.draw(st.lists(st.integers(0, ctx.p - 1), min_size=ctx.n, max_size=ctx.n))
+    return FieldElem(ctx, tuple(cs))
+
+
+def test_kernel_slot_widths():
+    for (p, n), width in KERNEL_FIELDS.items():
+        assert fields._packer(p, n)[0] == width, (p, n)
+        assert n * (p - 1) ** 2 < 256**width
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.data())
+def test_kernel_arithmetic_matches_primepoly(pn, data):
+    ctx = make_ctx(*pn)
+    p = ctx.p
+    a, b = draw_elem(data, ctx), draw_elem(data, ctx)
+    pa, pb = PrimePoly(p, a.coeffs), PrimePoly(p, b.coeffs)
+    assert (a * b).coeffs == reference_elem(ctx, pa * pb)
+    assert (a + b).coeffs == reference_elem(ctx, pa + pb)
+    assert (a - b).coeffs == reference_elem(ctx, pa - pb)
+    assert (-a).coeffs == reference_elem(ctx, -pa)
+    for c in (a * b, a + b, a - b, -a):
+        assert len(c.coeffs) == ctx.n and all(0 <= x < p for x in c.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.data())
+def test_kernel_frobenius_and_trace_match_schoolbook(pn, data):
+    ctx = make_ctx(*pn)
+    a = draw_elem(data, ctx)
+    k = data.draw(st.integers(-2, 3))
+    frob = _frob_matrix(ctx, k)
+    assert frobenius(a, k).coeffs == schoolbook_mat_vec(frob, a.coeffs, ctx.p)
+    assert trace(a).coeffs == schoolbook_mat_vec(_trace_matrix(ctx, 1), a.coeffs, ctx.p)
+
+
+@pytest.mark.parametrize("pn", sorted(KERNEL_FIELDS))
+def test_kernel_extreme_coefficients(pn):
+    # every coefficient p - 1 makes each slot sum as large as it can be
+    ctx = make_ctx(*pn)
+    p, top = ctx.p, FieldElem(ctx, (ctx.p - 1,) * ctx.n)
+    ptop = PrimePoly(p, top.coeffs)
+    assert (top * top).coeffs == reference_elem(ctx, ptop * ptop)
+    assert (top + top).coeffs == reference_elem(ctx, ptop + ptop)
+    assert (top - ctx.one()).coeffs == reference_elem(ctx, ptop - PrimePoly.one(p))
+    assert (-top).coeffs == reference_elem(ctx, -ptop)
+    for j in (1, 2):
+        frob = _frob_matrix(ctx, j)
+        assert frobenius(top, j).coeffs == schoolbook_mat_vec(frob, top.coeffs, p)
+    assert trace(top).coeffs == schoolbook_mat_vec(_trace_matrix(ctx, 1), top.coeffs, p)
+    full = [[p - 1] * ctx.n for _ in range(ctx.n)]
+    kern = fields._kernel(ctx)
+    assert fields._mat_mul(full, full, kern) == schoolbook_mat_mul(full, full, p)
+
+
+@pytest.mark.parametrize("pn", sorted(KERNEL_FIELDS))
+def test_kernel_frobenius_matrices_match_primepoly(pn):
+    # column i of the Frobenius matrix is t^(p i) mod g; F^2 = F F
+    ctx = make_ctx(*pn)
+    p, n = ctx.p, ctx.n
+    frob = _frob_matrix(ctx, 1)
+    t = PrimePoly.x(p)
+    for i in range(n):
+        column = tuple(row[i] for row in frob)
+        assert column == reference_elem(ctx, t.pow_mod(p * i, ctx.modulus))
+    if n > 1:
+        assert _frob_matrix(ctx, 2) == schoolbook_mat_mul(frob, frob, p)
+    rng = Random(pn[0] * 1000 + n)
+    a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    assert fields._mat_mul(a, b, fields._kernel(ctx)) == schoolbook_mat_mul(a, b, p)

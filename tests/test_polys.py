@@ -94,6 +94,31 @@ def test_divmod_invariant_fixed():
     assert r.degree < b.degree
 
 
+def test_arithmetic_skips_primality_test(monkeypatch):
+    # results built from an already validated p must not re-run is_prime
+    from as90 import polys
+
+    a = PrimePoly(65521, [5, 65520, 3, 1])
+    b = PrimePoly(65521, [7, 2, 1])
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(polys, "is_prime", counting)
+    product = a * b
+    quo, rem = divmod(product + a, b)
+    assert quo * b + rem == product + a
+    assert (a - b) * 3 + (-a) == a * 2 - b * 3
+    assert a.pow_mod(65521, b) == rem.pow_mod(65521, b)
+    gcd(a, b), xgcd(a, b), a.monic().derivative()
+    assert calls == []
+    with pytest.raises(NotPrime):
+        PrimePoly(4, [1])
+    assert calls == [4]
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         divmod(P("t"), PrimePoly.zero(2))
