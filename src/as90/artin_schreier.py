@@ -16,16 +16,17 @@ where a closed form is available:
 * characteristic 2: precomputed reference witnesses keyed by the
   2-part of the degree.
 
-Every constructor re-verifies its output, and a brute-force scan is
-kept around as an independent oracle at small sizes.
+Every constructor ends in R(y, z), which re-verifies its output, and
+an exhaustive search is kept around as an independent oracle at small
+sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from math import isqrt
+from operator import add, mul
 
 from .bigpoly import TABLE_ROWS, classify, factor_cyclotomic, ord_mod
 from .errors import (
@@ -42,7 +43,6 @@ from .fields import (
     _frob_matrix,
     frobenius,
     make_ctx,
-    roots_in_field,
     subfield_elements,
     subfield_embed,
     trace,
@@ -50,7 +50,7 @@ from .fields import (
 from .hilbert90 import TraceOneWitness, find_trace_one, r_form
 from .intfactor import p_part
 from .periodicity import partial_trace_terms, sequence_period
-from .polys import PrimePoly
+from .polys import PrimePoly, _count_vectors
 
 #: Discrete logs of the reference partial sums x_1, x_2, ... to base z,
 #: for the two-parts with reference data (None marks x_i = 0).
@@ -126,24 +126,30 @@ def _require_root(inst: ArtinSchreierInstance):
         )
 
 
-def _root_set(inst, x, method, notes=None) -> RootSet:
-    assert frobenius(x, 1) - x == inst.y
+def _root_set(inst, z, method, notes) -> RootSet:
+    """The roots based at R(y, z) for the trace-one witness z; r_form
+    checks sigma(x) - x = y and raises RuntimeError otherwise."""
     return RootSet(
         ctx=inst.ctx,
-        base_root=x,
+        base_root=r_form(inst.y, z).x,
         q=inst.ctx.q,
         method=method,
         verified=True,
-        notes=notes or {},
+        notes=notes,
     )
 
 
 def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMIT) -> list[FieldElem]:
-    """Exhaustive scan of the field for roots of t^q - t - y.
+    """Exhaustive search of the field for roots of t^q - t - y.
 
     Independent of the constructive machinery: it uses only the
-    Frobenius matrix and vectorized arithmetic mod p.  Returns roots
-    sorted by coefficient tuple; sizes above ``limit`` are refused.
+    Frobenius matrix and integer arithmetic mod p.  L = F_q - I is
+    F_p-linear, so with the field written as A + B, every x exactly one
+    a + b, x is a root iff L(b) = y - L(a): L(b) is tabled and looked up
+    for each a, as in baby-step giant-step.  For n >= 2, a holds the
+    first n - n//2 coordinates and b the rest; for n = 1, x = a*s + b
+    with b < s.  Returns roots sorted by coefficient tuple; sizes above
+    ``limit`` are refused.
     """
     ctx = inst.ctx
     if ctx.order > limit:
@@ -151,21 +157,28 @@ def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMI
             f"brute force over {ctx.order} elements exceeds the limit {limit}"
         )
     p, n = ctx.p, ctx.n
-    mat = np.array(_frob_matrix(ctx, ctx.f), dtype=np.int64)
-    yv = np.array(inst.y.coeffs, dtype=np.int64)
+    rows = [[(x - (r == c)) % p for c, x in enumerate(row)]
+            for r, row in enumerate(_frob_matrix(ctx, ctx.f))]
+    if n == 1:
+        s = isqrt(p - 1) + 1
+        side_a, side_b = [(a,) for a in range(0, p, s)], [(b,) for b in range(s)]
+    else:
+        k = n - n // 2
+        side_a = [v + (0,) * (n - k) for v in _count_vectors(p, k)]
+        side_b = [(0,) * k + v for v in _count_vectors(p, n - k)]
+    table: dict[tuple, list] = {}
+    for b in side_b:
+        table.setdefault(tuple([sum(map(mul, row, b)) % p for row in rows]), []).append(b)
+    y = inst.y.coeffs
     roots = []
-    chunk = 1 << 16
-    for start in range(0, ctx.order, chunk):
-        stop = min(start + chunk, ctx.order)
-        idx = np.arange(start, stop, dtype=np.int64)
-        vecs = np.empty((len(idx), n), dtype=np.int64)
-        rem = idx
-        for pos in range(n - 1, -1, -1):
-            vecs[:, pos] = rem % p
-            rem = rem // p
-        resid = (vecs @ mat.T - vecs - yv) % p
-        for hit in np.nonzero(~resid.any(axis=1))[0]:
-            roots.append(FieldElem(ctx, tuple(int(c) for c in vecs[hit])))
+    # a and each bucket ascend and a decides the leading coordinates, so
+    # the roots come out sorted
+    for a in side_a:
+        want = tuple([(y_r - sum(map(mul, row, a))) % p for y_r, row in zip(y, rows)])
+        for b in table.get(want, ()):
+            x = tuple(map(add, a, b))
+            if x[0] < p:  # only n = 1 can pass p: a*s + b >= p
+                roots.append(FieldElem(ctx, x))
     return roots
 
 
@@ -174,10 +187,9 @@ def root_general(inst: ArtinSchreierInstance, witness: TraceOneWitness | None = 
     _require_root(inst)
     if witness is None:
         witness = find_trace_one(inst.ctx)
-    cert = r_form(inst.y, witness.z)
     return _root_set(
         inst,
-        cert.x,
+        witness.z,
         "general",
         {"witness_e": witness.e, "witness_provenance": witness.provenance},
     )
@@ -194,8 +206,7 @@ def root_coprime(inst: ArtinSchreierInstance) -> RootSet:
         )
     _require_root(inst)
     z = ctx.elem(pow(ctx.m % ctx.p, -1, ctx.p))
-    cert = r_form(inst.y, z)
-    return _root_set(inst, cert.x, "coprime", {"z": str(z)})
+    return _root_set(inst, z, "coprime", {"z": str(z)})
 
 
 def find_zeta(p: int) -> FieldElem:
@@ -209,7 +220,6 @@ def find_zeta(p: int) -> FieldElem:
     ctx = make_ctx(p, p, modulus=PrimePoly(p, coeffs))
     zeta = ctx.gen()
     assert trace(zeta, 1) == 1
-    assert zeta ** (p**p - 1) == 1
     return zeta
 
 
@@ -226,9 +236,7 @@ def root_np_p(inst: ArtinSchreierInstance) -> RootSet:
     _require_root(inst)
     zeta = subfield_embed(find_zeta(ctx.p), ctx)
     scalar = pow((ctx.n // ctx.p) % ctx.p, -1, ctx.p)
-    z = zeta * scalar
-    cert = r_form(inst.y, z)
-    return _root_set(inst, cert.x, "np_p", {"zeta_degree": ctx.p})
+    return _root_set(inst, zeta * scalar, "np_p", {"zeta_degree": ctx.p})
 
 
 def root_via_prime_r(inst: ArtinSchreierInstance, r: int) -> RootSet:
@@ -262,11 +270,10 @@ def root_via_prime_r(inst: ArtinSchreierInstance, r: int) -> RootSet:
     _require_root(inst)
     scalar = pow((n // e) * tau % p, -1, p)
     z = subfield_embed(zeta, ctx) * scalar
-    cert = r_form(inst.y, z)
     terms = partial_trace_terms(z, 2 * e * p)
     assert sequence_period(terms, e * p) == e * p
     return _root_set(
-        inst, cert.x, "prime_r",
+        inst, z, "prime_r",
         {"r": r, "e": e, "tau": tau, "zeta_min_poly": str(g)},
     )
 
@@ -276,10 +283,11 @@ def root_p2mod3(inst: ArtinSchreierInstance) -> RootSet:
     root of unity.
 
     x = (n/2)^{-1} sum_i (floor(i/2) - r_i w) y^{p^i} with r_i = i mod 2
-    and w a primitive cube root of unity.  The source material states
-    one sign and computes the other midway, so both sign variants are
-    tried and the one satisfying x^p - x = y is kept; the choice is
-    recorded in the notes.
+    and w the least primitive cube root of unity by coefficient tuple.
+    As p = 2 mod 3, w lies outside F_p and sigma(w) = w^2 = -1 - w, so
+    with s = (n/2)^{-1} the partial sums of z = -s w are exactly the
+    coefficients s (floor(i/2) - r_i w), and trace(z) = (n/2) s = 1:
+    x is R(y, z), in the sign the source material states.
     """
     ctx = inst.ctx
     p, n = ctx.p, ctx.n
@@ -292,24 +300,11 @@ def root_p2mod3(inst: ArtinSchreierInstance) -> RootSet:
     if (n // 2) % p == 0:
         raise WrongCongruence(f"needs n/2 = {n // 2} coprime to p = {p}")
     _require_root(inst)
-    omega = roots_in_field((1, 1, 1), ctx)[0]
-    assert omega * omega + omega + 1 == 0
-    scalar = pow((n // 2) % p, -1, p)
-    acc = ctx.zero()
-    yw = inst.y
-    for i in range(n):
-        coef = ctx.elem(i // 2) - (i % 2) * omega
-        acc = acc + coef * yw
-        yw = frobenius(yw, 1)
-    x = acc * scalar
-    if frobenius(x, 1) - x == inst.y:
-        variant = "statement"
-    else:
-        x = -x
-        if frobenius(x, 1) - x != inst.y:
-            raise RuntimeError("neither sign variant verifies; arithmetic is broken")
-        variant = "negated"
-    return _root_set(inst, x, "p2mod3", {"sign_variant": variant, "omega": str(omega)})
+    omega = subfield_embed(make_ctx(p, 2, modulus=PrimePoly(p, (1, 1, 1))).gen(), ctx)
+    z = -omega * pow((n // 2) % p, -1, p)
+    return _root_set(
+        inst, z, "p2mod3", {"sign_variant": "statement", "omega": str(omega)}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -370,9 +365,8 @@ def root_char2_table(inst: ArtinSchreierInstance) -> RootSet:
         table_exponent_sequence(n_2)  # asserts reference data, cached
     sub = _table_ctx(n_2)
     z = subfield_embed(sub.gen(), ctx)
-    cert = r_form(inst.y, z)
     return _root_set(
-        inst, cert.x, "table",
+        inst, z, "table",
         {"n_2": n_2, "z_min_poly": str(TABLE_ROWS[n_2][1])},
     )
 

@@ -417,28 +417,32 @@ def _packed_columns(ctx: FieldCtx, kind: str, key: int, dense):
     return cols
 
 
-def nullspace(mat, p: int) -> list[tuple]:
-    """Basis of the kernel of mat over F_p (row-reduced, deterministic)."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+def _row_reduce(rows, ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan over F_p on the first ncols columns of rows, in
+    place.  Returns the pivot columns; pivot row i (rows[i]) has a 1 in
+    column pivots[i] and every other row a 0 there."""
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c], -1, p)
         rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrows):
+        for i in range(len(rows)):
             if i != r and rows[i][c] % p:
                 fac = rows[i][c]
                 rows[i] = [(x - fac * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    return pivots
+
+
+def nullspace(mat, p: int) -> list[tuple]:
+    """Basis of the kernel of mat over F_p (row-reduced, deterministic)."""
+    rows = [list(r) for r in mat]
+    ncols = len(rows[0]) if rows else 0
+    pivots = _row_reduce(rows, ncols, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -455,27 +459,11 @@ def solve_in_span(columns, target, p: int):
     or None if target is outside.  Vectors are coefficient tuples."""
     if not columns:
         return [] if all(c % p == 0 for c in target) else None
-    n = len(target)
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(n)]
+    aug = [list(row) for row in zip(*columns, target)]
     ncols = len(columns)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                fac = aug[i][c]
-                aug[i] = [(x - fac * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][ncols] % p:
-            return None
+    pivots = _row_reduce(aug, ncols, p)
+    if any(row[ncols] % p for row in aug[len(pivots):]):
+        return None
     coords = [0] * ncols
     for pr, pc in enumerate(pivots):
         coords[pc] = aug[pr][ncols]

@@ -178,7 +178,7 @@ def partial_trace_sequence(
         raise ValueError("need at least one term")
     terms = partial_trace_terms(z, length, k)
     period = sequence_period(terms, bound) if length >= 2 * bound else None
-    return PartialTraceSeq(terms=terms, p=ctx.p, e=e, period=period, z_ref=z)
+    return PartialTraceSeq(terms=terms, p=ctx.p, e=e, period=period)
 
 
 def _r_raw(a: FieldElem, b: FieldElem, k: int = 1) -> FieldElem:

@@ -10,7 +10,7 @@ wrap-arounds) on live field data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoPeriodWithinBound, TraceNotOne
 from .fields import FieldCtx, FieldElem, degree_over_subfield, frobenius, trace
@@ -25,7 +25,6 @@ class PartialTraceSeq:
     p: int
     e: int
     period: int | None
-    z_ref: FieldElem | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.terms)

@@ -77,6 +77,25 @@ def test_brute_force_counts_are_zero_or_q():
             assert count == (ctx.q if has_root(inst(ctx, y)) else 0)
 
 
+def _scan_roots(ctx, y):
+    """Reference for brute_force_roots: test every element in turn."""
+    return [x for x in ctx.elements_lex() if x ** ctx.q - x == y]
+
+
+@pytest.mark.parametrize("p, n, f", [
+    (p, n, f) for p in (2, 3, 5, 7, 31)
+    for n, f in ((1, 1), (2, 1), (2, 2), (3, 1), (4, 2)) if p**n <= 2401
+])
+def test_brute_force_matches_element_scan(p, n, f):
+    ctx = make_ctx(p, n, f=f)
+    rng = Random(p * 100 + n * 10 + f)
+    ys = [ctx.zero(), trace_zero_sample(ctx, rng)]
+    ys += [y for y in ctx.elements_lex() if not has_root(inst(ctx, y))][:2]
+    ys.append(ctx.random_element(rng))
+    for y in ys:
+        assert brute_force_roots(inst(ctx, y)) == _scan_roots(ctx, y), (p, n, f, y)
+
+
 def test_brute_force_limit():
     ctx = make_ctx(2, 10)
     with pytest.raises(FieldTooLarge):
@@ -268,6 +287,28 @@ def test_p2mod3_f64_coefficient_cycle():
         yw = frobenius(yw, 1)
     assert x == rs.base_root  # n/2 = 3 is 1 mod 2, no rescale
     assert rs.notes["sign_variant"] == "statement"
+
+
+def test_p2mod3_matches_cube_root_coefficients():
+    # x = (n/2)^{-1} sum_i (floor(i/2) - (i mod 2) w) y^{p^i}, with w the
+    # least cube root of unity by coefficient tuple, in the statement sign
+    from as90.fields import roots_in_field
+
+    rng = Random(54)
+    for p, n in [(2, 2), (2, 6), (2, 10), (5, 2), (5, 4), (5, 6), (11, 2),
+                 (11, 4), (17, 2), (17, 4)]:
+        ctx = make_ctx(p, n)
+        w = roots_in_field((1, 1, 1), ctx)[0]
+        scalar = pow((n // 2) % p, -1, p)
+        for _ in range(3):
+            y = trace_zero_sample(ctx, rng)
+            x, yw = ctx.zero(), y
+            for i in range(n):
+                x = x + (ctx.elem(i // 2) - (i % 2) * w) * yw
+                yw = frobenius(yw, 1)
+            rs = root_p2mod3(inst(ctx, y))
+            assert rs.base_root == x * scalar, (p, n, y)
+            assert rs.notes == {"sign_variant": "statement", "omega": str(w)}
 
 
 def test_p2mod3_f25_brute_checked():

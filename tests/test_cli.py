@@ -348,12 +348,17 @@ def test_bigsearch_json(capsys):
 
 def test_optimized_interpreter_same_output():
     # no check that guards an output may vanish under python -O; one
-    # command per constructor that auto dispatch reaches
+    # command per constructor that auto dispatch reaches, then the ones
+    # only --method reaches
     commands = {
         "table": ("--p", "2", "--n", "16", "--y", "t+t^2"),
         "coprime": ("--p", "2", "--n", "3", "--y", "t+t^2"),
         "np_p": ("--p", "3", "--n", "3", "--y", "t^3-t"),
         "general": ("--p", "3", "--n", "9", "--y", "t^3-t"),
+        "prime_r": ("--p", "2", "--n", "6", "--y", "0", "--method", "prime-r",
+                    "--r", "3"),
+        "p2mod3": ("--p", "2", "--n", "6", "--y", "t+t^4", "--method", "p2mod3"),
+        "brute": ("--p", "2", "--n", "16", "--y", "t+t^2", "--method", "brute"),
     }
     for method, args in commands.items():
         argv = ("root", *args, "--json")
@@ -362,7 +367,23 @@ def test_optimized_interpreter_same_output():
         assert plain.returncode == optimized.returncode == 0, method
         assert optimized.stdout == plain.stdout, method
         payload = json.loads(plain.stdout)
-        assert payload["verified"] is True and payload["method"] == method
+        assert payload["method"] == method
+        if method == "brute":
+            assert "verified" not in payload and payload["count"] == 2
+        else:
+            assert payload["verified"] is True
+
+
+def test_cli_import_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, as90.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
 
 
 def test_usage_error_exit_code():

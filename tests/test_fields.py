@@ -487,6 +487,41 @@ def test_solve_in_span():
     assert solve_in_span(cols, [1, 0, 0], 2) is None
 
 
+def test_nullspace_and_span_on_random_matrices():
+    # small enough to enumerate every vector: the kernel found is the
+    # whole kernel, and solve_in_span answers exactly on the column span
+    from itertools import product
+
+    rng = Random(77)
+    for p, rows, cols in [(2, 3, 4), (3, 4, 3), (5, 2, 3), (7, 3, 2), (3, 1, 4)]:
+        for _ in range(8):
+            mat = [[rng.randrange(p) if rng.random() < 0.7 else 0
+                    for _ in range(cols)] for _ in range(rows)]
+            vectors = list(product(range(p), repeat=cols))
+            kernel = {v for v in vectors
+                      if all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in mat)}
+            basis = nullspace(mat, p)
+            spanned = {
+                tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p for i in range(cols))
+                for cs in product(range(p), repeat=len(basis))
+            }
+            assert spanned == kernel and len(kernel) == p ** len(basis)
+            columns = [list(c) for c in zip(*mat)]
+            images = {
+                tuple(sum(c * col[i] for c, col in zip(cs, columns)) % p
+                      for i in range(rows))
+                for cs in vectors
+            }
+            for target in product(range(p), repeat=rows):
+                combo = solve_in_span(columns, target, p)
+                if target in images:
+                    got = tuple(sum(c * col[i] for c, col in zip(combo, columns)) % p
+                                for i in range(rows))
+                    assert got == target
+                else:
+                    assert combo is None
+
+
 # -- packed kernels against schoolbook references -------------------------------
 
 # (p, n) -> slot width in bytes: each side of every width boundary, n = 1,

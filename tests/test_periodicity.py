@@ -79,7 +79,7 @@ def test_seq_container_protocol():
     ctx = make_ctx(2, 2)
     w = ctx.gen()
     seq = PartialTraceSeq(
-        terms=partial_trace_terms(w, 8), p=2, e=2, period=4, z_ref=w
+        terms=partial_trace_terms(w, 8), p=2, e=2, period=4
     )
     assert len(seq) == 8
     assert seq[1] == w
