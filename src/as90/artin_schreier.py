@@ -149,7 +149,8 @@ def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMI
     for each a, as in baby-step giant-step.  For n >= 2, a holds the
     first n - n//2 coordinates and b the rest; for n = 1, x = a*s + b
     with b < s.  Returns roots sorted by coefficient tuple; sizes above
-    ``limit`` are refused.
+    ``limit`` are refused, and so is a root set (a coset of GF(q)) of
+    more than 2^20 elements, as soon as its first root is found.
     """
     ctx = inst.ctx
     if ctx.order > limit:
@@ -178,6 +179,10 @@ def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMI
         for b in table.get(want, ()):
             x = tuple(map(add, a, b))
             if x[0] < p:  # only n = 1 can pass p: a*s + b >= p
+                if ctx.q > 2**20:
+                    raise FieldTooLarge(
+                        f"{inst.polynomial_str()} has {ctx.q} roots, too many to list"
+                    )
                 roots.append(FieldElem(ctx, x))
     return roots
 
@@ -219,7 +224,8 @@ def find_zeta(p: int) -> FieldElem:
     coeffs = (1,) + (0,) * (p - 2) + (-1, 1)
     ctx = make_ctx(p, p, modulus=PrimePoly(p, coeffs))
     zeta = ctx.gen()
-    assert trace(zeta, 1) == 1
+    if trace(zeta, 1) != 1:
+        raise RuntimeError(f"the root of {ctx.modulus} does not have trace 1")
     return zeta
 
 
@@ -257,21 +263,25 @@ def root_via_prime_r(inst: ArtinSchreierInstance, r: int) -> RootSet:
             f"ord_{r}({p}) = {e} must divide n = {n} with quotient coprime to {p}"
         )
     big = [g for g in factor_cyclotomic(r, p) if classify(g).is_big]
-    assert big, "a big factor always exists"
+    if not big:
+        raise RuntimeError(f"cyclotomic {r} has no big factor over F_{p}")
     g = big[0]
     sub = make_ctx(p, e, modulus=g)
     zeta = sub.gen()
-    assert zeta**r == 1 and zeta != 1
+    if zeta**r != 1 or zeta == 1:
+        raise RuntimeError(f"the root of {g} is not a primitive {r}-th root of unity")
     tau_elem = trace(zeta, 1)
     tau = tau_elem.coeffs[0]
-    assert tau != 0 and all(c == 0 for c in tau_elem.coeffs[1:])
-    n_p = p_part(n, p)
-    assert e % n_p == 0, "the p-part of n divides the witness degree"
+    if tau == 0 or any(tau_elem.coeffs[1:]):
+        raise RuntimeError(f"the root of {g} has trace {tau_elem}, not a nonzero scalar")
+    if e % p_part(n, p) != 0:
+        raise RuntimeError(f"the p-part of n = {n} does not divide the witness degree {e}")
     _require_root(inst)
     scalar = pow((n // e) * tau % p, -1, p)
     z = subfield_embed(zeta, ctx) * scalar
     terms = partial_trace_terms(z, 2 * e * p)
-    assert sequence_period(terms, e * p) == e * p
+    if sequence_period(terms, e * p) != e * p:
+        raise RuntimeError(f"the partial sums of the witness do not have period {e * p}")
     return _root_set(
         inst, z, "prime_r",
         {"r": r, "e": e, "tau": tau, "zeta_min_poly": str(g)},
@@ -317,7 +327,7 @@ def table_exponent_sequence(n_2: int) -> tuple:
     """Discrete logs (to base z) of the partial sums x_1 .. x_{2*n_2-1}
     of the reference witness z for this two-part; index 0 is None.
 
-    Where reference values exist they are asserted against the computed
+    Where reference values exist they are checked against the computed
     logs, so any drift in the table data or the log machinery trips
     immediately.
     """
@@ -330,10 +340,8 @@ def table_exponent_sequence(n_2: int) -> tuple:
     for x in terms:
         out.append(None if x.is_zero() else discrete_log(z, x))
     known = KNOWN_EXPONENTS.get(n_2)
-    if known is not None:
-        assert list(out[: len(known)]) == known, (
-            f"reference exponents for two-part {n_2} do not match"
-        )
+    if known is not None and list(out[: len(known)]) != known:
+        raise RuntimeError(f"reference exponents for two-part {n_2} do not match")
     return tuple(out)
 
 
@@ -342,7 +350,7 @@ def root_char2_table(inst: ArtinSchreierInstance) -> RootSet:
 
     The 2-part of n selects a precomputed z (a big primitive root with
     trace 1); embedding it into E keeps trace 1 because n divided by its
-    2-part is odd.  Reference partial-sum exponent data is re-asserted
+    2-part is odd.  Reference partial-sum exponent data is re-checked
     once per process for the two-parts that have it.
     """
     ctx = inst.ctx
@@ -362,7 +370,7 @@ def root_char2_table(inst: ArtinSchreierInstance) -> RootSet:
         )
     _require_root(inst)
     if n_2 in KNOWN_EXPONENTS:
-        table_exponent_sequence(n_2)  # asserts reference data, cached
+        table_exponent_sequence(n_2)  # checks reference data, cached
     sub = _table_ctx(n_2)
     z = subfield_embed(sub.gen(), ctx)
     return _root_set(

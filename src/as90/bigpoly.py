@@ -78,11 +78,10 @@ def ord_mod(r: int, p: int) -> int:
         raise NotPrime(f"{p} is not prime")
     if r == p:
         raise EqualPrimes("p has no order modulo itself")
-    cur = p % r
-    e = 1
-    while cur != 1:
-        cur = cur * p % r
-        e += 1
+    e = r - 1
+    for ell in factorint(e):
+        while e % ell == 0 and pow(p, e // ell, r) == 1:
+            e //= ell
     return e
 
 
@@ -108,7 +107,8 @@ def cyclotomic(m: int, p: int) -> PrimePoly:
         if m % d == 0:
             den = den * cyclotomic(d, p)
     quo, rem = divmod(num, den)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise RuntimeError(f"t^{m} - 1 is not divisible by the lower cyclotomics over F_{p}")
     return quo
 
 
@@ -121,7 +121,9 @@ def factor_cyclotomic(r: int, p: int) -> list[PrimePoly]:
     if e == r - 1:
         return [phi]
     factors = equal_degree_split(phi, e, Random(0xA590))
-    assert len(factors) == (r - 1) // e
+    if len(factors) != (r - 1) // e:
+        raise RuntimeError(f"cyclotomic {r} split into {len(factors)} factors over F_{p}, "
+                           f"not {(r - 1) // e}")
     return factors
 
 
@@ -298,19 +300,14 @@ def verify_table_entry(n_2: int, candidate: PrimePoly | None = None) -> TableChe
         checks["order"] = False
     x = PrimePoly.x(2)
     if checks["degree"]:
-        # trace of the residue class of t: sum of its 2^i-th powers
-        acc = x % candidate
-        w = acc
-        for _ in range(n_2 - 1):
-            w = w * w % candidate
-            acc = acc + w
-        checks["trace"] = acc == PrimePoly.one(2)
-        # partial sums of the root, still in the quotient ring
+        # partial sums of the root, still in the quotient ring; the trace
+        # of t is the sum of its first n_2 conjugates
         terms = [PrimePoly.zero(2)]
         w = x % candidate
         for _ in range(4 * n_2 - 1):
             terms.append(terms[-1] + w)
             w = w * w % candidate
+        checks["trace"] = terms[n_2] == PrimePoly.one(2)
         try:
             checks["period"] = sequence_period(terms, 2 * n_2) == 2 * n_2
         except Exception:
@@ -336,6 +333,7 @@ def regenerate_table(degrees=(2, 4, 8, 16, 32), budget: int = 1 << 16):
         symbol = TABLE_ROWS[n_2][0] if n_2 in TABLE_ROWS else "z"
         found = find_big_primitive(n_2, 2, budget)
         report = verify_table_entry(n_2, found)
-        assert report.passed
+        if not report.passed:
+            raise RuntimeError(f"searched degree-{n_2} row {found} fails {report.checks}")
         rows.append((n_2, symbol, found))
     return rows

@@ -128,7 +128,8 @@ def find_trace_one(
                 if trace(cand, sub.f) == want and degree_over_subfield(cand, sub.f) == m_p:
                     z0 = cand
                     break
-            assert z0 is not None, "every field carries trace-one witnesses"
+            if z0 is None:
+                raise RuntimeError(f"no trace-one witness of degree {m_p} in {sub.describe()}")
             z = z0 if sub is ctx else subfield_embed(z0, ctx)
         provenance = "deterministic-subfield"
     else:
@@ -153,7 +154,8 @@ def find_trace_one(
             )
         z = z0 if sub is ctx else subfield_embed(z0, ctx)
         provenance = f"random-scaled(seed={seed})"
-    assert trace(z, ctx.f) == 1
+    if trace(z, ctx.f) != 1:
+        raise RuntimeError(f"witness {z} does not have trace 1")
     return TraceOneWitness(z=z, e=target, provenance=provenance)
 
 

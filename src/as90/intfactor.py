@@ -1,27 +1,20 @@
 """Integer factorization sized for group orders up to 2^64.
 
 Trial division up to 10^6 strips small primes; anything left is handled
-by a deterministic Miller-Rabin test plus Brent's cycle variant of
-Pollard rho.  Inputs beyond the ceiling (default 2^64, overridable via
-the AS90_FACTOR_BOUND environment variable) are refused rather than
-attempted.
+by a deterministic Miller-Rabin test plus Pollard rho with Floyd's
+cycle detection.  Inputs above 2^64, the largest group order the field
+scale limit allows, are refused rather than attempted.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import FactorizationTooHard
 from .polys import is_prime
 
 _TRIAL_LIMIT = 10**6
-DEFAULT_FACTOR_BOUND = 2**64
-
-
-def factor_bound() -> int:
-    raw = os.environ.get("AS90_FACTOR_BOUND")
-    return int(raw) if raw else DEFAULT_FACTOR_BOUND
+_FACTOR_BOUND = 2**64
 
 
 def p_part(n: int, p: int) -> int:
@@ -53,13 +46,13 @@ def _pollard_rho(m: int) -> int:
 
 
 def factorint(m: int) -> dict[int, int]:
-    """Prime factorization of m >= 1 as {prime: exponent}."""
+    """Prime factorization of m >= 1 as {prime: exponent}; m above 2^64
+    raises FactorizationTooHard."""
     if m < 1:
         raise ValueError("factorint needs a positive integer")
-    bound = factor_bound()
-    if m > bound:
+    if m > _FACTOR_BOUND:
         raise FactorizationTooHard(
-            f"{m} exceeds the factorization ceiling {bound}"
+            f"{m} exceeds the factorization ceiling {_FACTOR_BOUND}"
         )
     out: dict[int, int] = {}
     d = 2

@@ -318,36 +318,15 @@ def xgcd(a: PrimePoly, b: PrimePoly):
 
 
 def is_irreducible(f: PrimePoly) -> bool:
-    """Rabin's irreducibility test over F_p."""
-    n = f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    p = f.p
-    fm = f.monic()
-    x = PrimePoly._of(p, (0, 1))
-    if x.pow_mod(p**n, fm) != x % fm:
-        return False
-    for r in _prime_divisors(n):
-        h = x.pow_mod(p ** (n // r), fm) - x
-        if gcd(fm, h).degree > 0:
-            return False
-    return True
+    """Ben-Or's irreducibility test over F_p.
 
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    A reducible f of degree n has an irreducible factor of degree
+    d <= n/2, which divides t^(p^d) - t; so f is irreducible exactly when
+    the first piece of its distinct-degree split is f itself, of degree n.
+    """
+    if f.degree <= 0:
+        return False
+    return next(distinct_degree_split(f.monic()))[1] == f.degree
 
 
 _DEFAULT_MODULUS_CACHE: dict[tuple[int, int], PrimePoly] = {}
@@ -447,10 +426,11 @@ def squarefree_decomposition(f: PrimePoly) -> list[tuple[PrimePoly, int]]:
     return out
 
 
-def distinct_degree_split(f: PrimePoly) -> list[tuple[PrimePoly, int]]:
-    """Split squarefree monic f into [(product of irreducibles of degree d, d)]."""
+def distinct_degree_split(f: PrimePoly):
+    """Yield (product of the irreducible factors of degree d, d) for
+    squarefree monic f, in increasing d, computing each piece only when
+    it is asked for."""
     p = f.p
-    out = []
     x = PrimePoly._of(p, (0, 1))
     h = x % f
     rest = f
@@ -458,15 +438,14 @@ def distinct_degree_split(f: PrimePoly) -> list[tuple[PrimePoly, int]]:
     while rest.degree > 0:
         d += 1
         if 2 * d > rest.degree:
-            out.append((rest, rest.degree))
-            break
+            yield rest, rest.degree
+            return
         h = h.pow_mod(p, rest)
         g = gcd(rest, h - x)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             rest = rest // g
             h = h % rest
-    return out
 
 
 def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[PrimePoly]:

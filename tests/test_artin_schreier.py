@@ -102,6 +102,14 @@ def test_brute_force_limit():
         brute_force_roots(inst(ctx, 0), limit=1000)
 
 
+def test_brute_force_refuses_a_coset_too_large_to_list():
+    # with q = |E| = 1048583 > 2^20 and y = 0 every element is a root
+    ctx = make_ctx(1048583, 1)
+    with pytest.raises(FieldTooLarge):
+        brute_force_roots(inst(ctx, 0))
+    assert brute_force_roots(inst(ctx, 1)) == []
+
+
 def test_rootset_materialization():
     ctx = make_ctx(2, 4, f=2)
     rng = Random(42)

@@ -1,6 +1,7 @@
 """Big/small classification, cyclotomic factorizations, tensor products,
 and the reference-table verification battery."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -99,6 +100,22 @@ def test_ord_mod_values():
     assert ord_mod(11, 2) == 10
     assert ord_mod(5, 3) == 4
     assert ord_mod(2, 7) == 1  # 7 = 1 mod 2
+
+
+def _ord_mod_by_loop(r, p):
+    """Reference for ord_mod: multiply by p until the power returns to 1."""
+    cur, e = p % r, 1
+    while cur != 1:
+        cur, e = cur * p % r, e + 1
+    return e
+
+
+def test_ord_mod_matches_loop():
+    primes = [r for r in range(2, 2000) if all(r % d for d in range(2, int(r**0.5) + 1))]
+    for p in (2, 3, 5, 7):
+        for r in primes:
+            if r != p:
+                assert ord_mod(r, p) == _ord_mod_by_loop(r, p), (r, p)
 
 
 def test_ord_mod_errors():
@@ -284,6 +301,17 @@ def test_commonly_printed_degree16_row_fails_order_only():
     }
     ctx = make_ctx(2, 16, modulus="t^16+t^15+t^8+t+1")
     assert element_order(ctx.gen()) == 257
+
+
+def test_verify_trace_check_on_every_degree_6_candidate():
+    # the trace check is Tr(t) = 1 in F_2[t]/(f), reducible f included
+    t = PrimePoly.x(2)
+    for mid in product((0, 1), repeat=5):
+        f = PrimePoly(2, (1,) + mid + (1,))
+        acc = PrimePoly.zero(2)
+        for i in range(6):
+            acc = acc + t.pow_mod(2**i, f)
+        assert verify_table_entry(6, f).checks["trace"] == (acc == PrimePoly.one(2)), f
 
 
 def test_regenerate_table():

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, output shape, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -18,13 +19,13 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def run_process(*argv, flags=()):
+def run_process(*argv, flags=(), timeout=120):
     """Run the CLI of this checkout in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, *flags, "-m", "as90.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -372,6 +373,58 @@ def test_optimized_interpreter_same_output():
             assert "verified" not in payload and payload["count"] == 2
         else:
             assert payload["verified"] is True
+
+
+def test_source_has_no_assert_statements():
+    # assert vanishes under -O; every check in the package must raise
+    src = Path(__file__).resolve().parents[1] / "src" / "as90"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_reference_exponents_checked_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = (
+        "from as90 import artin_schreier as a\n"
+        "a.KNOWN_EXPONENTS[4] = [None, 1, 13, 6, 0, 12, 7, 9]\n"
+        "try:\n"
+        "    a.table_exponent_sequence(4)\n"
+        "except RuntimeError:\n"
+        "    print('refused')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "refused"
+
+
+def test_prime_r_with_huge_r_is_domain_error():
+    # r = 2^61 - 1: ord_r(3) is far from dividing 4, and finding that out
+    # must not take r multiplications
+    proc = run_process("root", "--p", "3", "--n", "4", "--y", "0", "--method", "prime-r",
+                       "--r", str(2**61 - 1), timeout=30)
+    assert proc.returncode == 2, proc.stderr
+
+
+def test_brute_coset_too_large_is_domain_error(capsys):
+    code, out, _ = run(capsys, "root", "--p", "1048583", "--n", "1", "--y", "0",
+                       "--method", "brute", "--json")
+    assert code == 2 and out == ""
+
+
+def test_factor_bound_variable_is_ignored(monkeypatch):
+    plain = run_process("bigsearch", "--e", "8", "--json")
+    monkeypatch.setenv("AS90_FACTOR_BOUND", "abc")
+    with_variable = run_process("bigsearch", "--e", "8", "--json")
+    assert plain.returncode == with_variable.returncode == 0, with_variable.stderr
+    assert with_variable.stdout == plain.stdout
 
 
 def test_cli_import_loads_no_numpy():

@@ -1,6 +1,7 @@
 """Polynomial arithmetic over prime fields: parsing, division,
 irreducibility, factorization, and the default-modulus rule."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -167,6 +168,46 @@ def test_is_irreducible_known():
     assert not is_irreducible(PrimePoly.one(2))
 
 
+def _irreducible_by_trial_division(f):
+    """Reference for is_irreducible: f of degree n >= 1 is irreducible
+    iff no monic g with 1 <= deg g <= n/2 divides it."""
+    if f.degree < 1:
+        return False
+    for d in range(1, f.degree // 2 + 1):
+        for low in product(range(f.p), repeat=d):
+            if (f % PrimePoly(f.p, low + (1,))).is_zero():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5), (5, 4)])
+def test_is_irreducible_matches_trial_division(p, max_degree):
+    for c in range(p):
+        assert not is_irreducible(PrimePoly(p, (c,)))
+    for n in range(1, max_degree + 1):
+        for low in product(range(p), repeat=n):
+            f = PrimePoly(p, low + (1,))
+            want = _irreducible_by_trial_division(f)
+            assert is_irreducible(f) == want, f
+            for unit in range(2, p):
+                assert is_irreducible(f * unit) == want, (f, unit)
+
+
+def test_is_irreducible_rejects_squares_and_products():
+    cases = [
+        (P("t^2+t+1") * P("t^2+t+1"), False),
+        (P("t^5+t^2+1") * P("t^5+t^2+1"), False),
+        (P("t^5+t^2+1") * P("t^5+t^3+1"), False),
+        (P("t^7+t+1") * P("t+1"), False),
+        (P("t^2+1", 3) * P("t^2+1", 3), False),
+        (P("2t^4+2t^2+2", 3) * P("t^3+2t+1", 3), False),
+        (P("t^10+t^3+1"), True),
+        (P("3t^3+3t+3", 5), True),
+    ]
+    for f, want in cases:
+        assert is_irreducible(f) == want == _irreducible_by_trial_division(f), f
+
+
 def test_irreducible_count_degree_4():
     # number of monic irreducible quartics over F_2 is (2^4 - 2^2)/4 = 3
     found = [
@@ -203,6 +244,22 @@ def test_default_modulus_is_lex_first():
                     cand = PrimePoly(2, (c0, c1, c2, c3, 1))
                     if cand.coeffs < m.coeffs and not cand.is_zero():
                         assert not is_irreducible(cand)
+
+
+@pytest.mark.parametrize("p, n, text", [
+    (2, 8, "t^8+t^7+t^5+t^4+1"),
+    (2, 16, "t^16+t^15+t^13+t^11+1"),
+    (2, 32, "t^32+t^30+t^29+t^25+1"),
+    (2, 64, "t^64+t^63+t^61+t^60+1"),
+    (3, 12, "t^12+t^11+t^8+1"),
+    (3, 40, "t^40+t^37+t^36+1"),
+    (5, 27, "t^27+t^26+1"),
+    (7, 14, "t^14+3t^13+1"),
+    (65521, 4, "t^4+3t^3+1"),
+    (2**32 - 5, 2, "t^2+1"),
+])
+def test_default_modulus_pinned(p, n, text):
+    assert default_modulus(p, n) == P(text, p)
 
 
 def test_default_modulus_rejects():
