@@ -47,7 +47,6 @@ from .fields import (
     element_order,
     frobenius,
     make_ctx,
-    roots_in_field,
     subfield_elements,
     subfield_embed,
     subfield_section,
@@ -124,7 +123,6 @@ __all__ = [
     "root_np_p",
     "root_p2mod3",
     "root_via_prime_r",
-    "roots_in_field",
     "sequence_period",
     "subfield_elements",
     "subfield_embed",

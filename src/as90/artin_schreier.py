@@ -40,7 +40,8 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElem,
-    _frob_matrix,
+    _frob_cols,
+    _matrix_rows,
     frobenius,
     make_ctx,
     subfield_elements,
@@ -159,7 +160,7 @@ def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMI
         )
     p, n = ctx.p, ctx.n
     rows = [[(x - (r == c)) % p for c, x in enumerate(row)]
-            for r, row in enumerate(_frob_matrix(ctx, ctx.f))]
+            for r, row in enumerate(_matrix_rows(ctx, _frob_cols(ctx, ctx.f)))]
     if n == 1:
         s = isqrt(p - 1) + 1
         side_a, side_b = [(a,) for a in range(0, p, s)], [(b,) for b in range(s)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .errors import EqualPrimes, NotFound, NotPrime, ZeroPolynomial
+from .errors import EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
 from .intfactor import factorint
 from .periodicity import sequence_period
 from .polys import (
@@ -36,6 +36,11 @@ from .polys import (
 #: z + z^2 has order 21845 there, not a power of z at all).  Exactly
 #: one big primitive degree-16 polynomial is consistent with all
 #: fifteen reference exponents: t^16+t^15+t^4+t+1, used here.
+#: Largest cyclotomic degree r - 1 that ``cyclotomic_prime`` builds.  The
+#: polynomial is stored densely, and splitting it takes about a second at
+#: degree 700 and grows roughly with the cube of the degree.
+CYCLOTOMIC_DEGREE_LIMIT = 2**12
+
 TABLE_ROWS: dict[int, tuple[str, PrimePoly]] = {
     2: ("ω", PrimePoly.parse("t^2+t+1", 2)),
     4: ("α", PrimePoly.parse("t^4+t^3+1", 2)),
@@ -87,9 +92,13 @@ def ord_mod(r: int, p: int) -> int:
 
 def cyclotomic_prime(r: int, p: int) -> PrimePoly:
     """The r-th cyclotomic polynomial over F_p for prime r: all-ones of
-    degree r-1."""
+    degree r-1.  Degrees above CYCLOTOMIC_DEGREE_LIMIT are refused."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
+    if r - 1 > CYCLOTOMIC_DEGREE_LIMIT:
+        raise OrderTooLarge(
+            f"cyclotomic index {r} has degree {r - 1}, above {CYCLOTOMIC_DEGREE_LIMIT}"
+        )
     return PrimePoly(p, (1,) * r)
 
 

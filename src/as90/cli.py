@@ -61,10 +61,7 @@ def parse_elem(text: str, ctx: FieldCtx) -> FieldElem:
 
 def _parse_elem_inner(text: str, ctx: FieldCtx) -> FieldElem:
     if "t" in text or ";" in text:
-        poly = PrimePoly.parse(text, p=ctx.p)
-        if poly.degree >= ctx.n:
-            poly = poly % ctx.modulus
-        return ctx.elem(list(poly.coeffs))
+        return ctx.elem(text)
     if "," in text:
         return ctx.elem([int(c) for c in text.split(",")])
     k = int(text)

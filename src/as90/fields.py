@@ -18,9 +18,9 @@ unpacks it, so the inner loops run in C.  The top n - 1 coefficients
 are folded back with cached packed columns of t^(n+k) mod g.
 
 Frobenius maps, traces and subfield tests are F_p-linear, so each
-context lazily caches the n x n matrices that realize them, together
-with their packed columns; after the first call these operations cost
-one matrix-vector product, sum_c v_c * column_c over packed columns.
+context lazily caches every map it uses in one form, its n packed
+columns; after the first call these operations cost one
+matrix-vector product, sum_c v_c * column_c.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
     OrderTooLarge,
     ReducibleModulus,
     ZeroElement,
-    ZeroPolynomial,
 )
 from .intfactor import factorint
 from .polys import PrimePoly, _count_vectors, default_modulus, is_irreducible, is_prime
@@ -97,7 +96,10 @@ class FieldCtx:
         if isinstance(value, int):
             return FieldElem(self, (value % self.p,) + (0,) * (self.n - 1))
         if isinstance(value, str):
-            value = PrimePoly.parse(value, self.p)
+            # term by term, so t^(10^9) costs a few dozen products
+            _, terms = PrimePoly.parse_terms(value, self.p)
+            t, g = PrimePoly.x(self.p), self.modulus
+            value = sum((c * t.pow_mod(k, g) for k, c in terms.items()), PrimePoly.zero(self.p))
         if isinstance(value, PrimePoly):
             if value.p != self.p:
                 raise CtxMismatch("polynomial has the wrong characteristic")
@@ -391,30 +393,20 @@ class FieldElem:
 # -- F_p linear algebra ----------------------------------------------------
 
 
-def _mat_identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _mat_mul(a, b, kern: _Kernel):
-    """a b for dense n x n matrices: row r is sum_k a[r][k] (row k of b),
-    over packed rows of b."""
-    rows = [kern.pack(r) for r in b]
-    return [list(kern.combine(r, rows)) for r in a]
+    """a b for n x n matrices given as packed columns: column j is a
+    applied to column j of b."""
+    return [kern.pack(kern.combine(kern.unpack(col, kern.n), a)) for col in b]
 
 
 def _mat_add(a, b, kern: _Kernel):
-    return [list(kern.add(x, y)) for x, y in zip(a, b)]
+    return [kern.pack(kern.unpack(x + y, kern.n)) for x, y in zip(a, b)]
 
 
-def _packed_columns(ctx: FieldCtx, kind: str, key: int, dense):
-    """Packed columns of the cached matrix ``dense(ctx, key)``, cached
-    beside it as ``ctx._cache[kind][key]``."""
-    cache = ctx._cache.setdefault(kind, {})
-    cols = cache.get(key)
-    if cols is None:
-        pack = _kernel(ctx).pack
-        cols = cache[key] = [pack(col) for col in zip(*dense(ctx, key))]
-    return cols
+def _matrix_rows(ctx: FieldCtx, cols) -> list[list[int]]:
+    """Rows of the n x n matrix with the given packed columns."""
+    unpack = _kernel(ctx).unpack
+    return [list(row) for row in zip(*(unpack(col, ctx.n) for col in cols))]
 
 
 def _row_reduce(rows, ncols: int, p: int) -> list[int]:
@@ -473,33 +465,20 @@ def solve_in_span(columns, target, p: int):
 # -- Frobenius, trace, subfields --------------------------------------------
 
 
-def _frob_matrix(ctx: FieldCtx, j: int):
-    """Matrix of x -> x^(p^j) in the power basis, cached per context."""
+def _frob_cols(ctx: FieldCtx, j: int):
+    """Packed columns of x -> x^(p^j) in the power basis, cached per
+    context.  Column i is (t^(p^j))^i, with t^(p^j) computed in the
+    field, so each power is built on its own; power 0 is the identity."""
     j %= ctx.n
     cache = ctx._cache.setdefault("frob", {})
-    if j in cache:
-        return cache[j]
-    kern = _kernel(ctx)
-    if 0 not in cache:
-        cache[0] = _mat_identity(ctx.n)
-    if 1 not in cache:
-        xp = ctx.elem(PrimePoly.x(ctx.p).pow_mod(ctx.p, ctx.modulus)).coeffs
-        cols = [ctx.one().coeffs]  # column i is t^(p i) = (t^p)^i
+    if j not in cache:
+        kern = _kernel(ctx)
+        x = (ctx.gen() ** ctx.p**j).coeffs
+        powers = [ctx.one().coeffs]
         for _ in range(ctx.n - 1):
-            cols.append(kern.mul(cols[-1], xp))
-        cache[1] = [list(row) for row in zip(*cols)]
-    k = max(i for i in cache if i <= j)
-    mat = cache[k]
-    while k < j:
-        mat = _mat_mul(mat, cache[1], kern)
-        k += 1
-        cache[k] = mat
+            powers.append(kern.mul(powers[-1], x))
+        cache[j] = [kern.pack(c) for c in powers]
     return cache[j]
-
-
-def _frob_cols(ctx: FieldCtx, j: int):
-    """Packed columns of _frob_matrix(ctx, j)."""
-    return _packed_columns(ctx, "frob_cols", j % ctx.n, _frob_matrix)
 
 
 def frobenius(a: FieldElem, k: int = 1) -> FieldElem:
@@ -509,9 +488,10 @@ def frobenius(a: FieldElem, k: int = 1) -> FieldElem:
     return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, _frob_cols(ctx, ctx.f * k)))
 
 
-def _trace_matrix(ctx: FieldCtx, d: int):
-    """Matrix of the trace onto the degree-d subfield, S(m) = sum_{k<m} F^k
-    with F = _frob_matrix(ctx, d) and m = n/d, cached per context.
+def _trace_cols(ctx: FieldCtx, d: int):
+    """Packed columns of the trace onto the degree-d subfield,
+    S(m) = sum_{k<m} F^k with F = x -> x^(p^d) and m = n/d, cached per
+    context.
 
     Built by doubling along the binary expansion of m, with
     S(2k) = S(k) + F^k S(k) and S(k+1) = S(k) + F^k, so it takes
@@ -519,8 +499,8 @@ def _trace_matrix(ctx: FieldCtx, d: int):
     """
     cache = ctx._cache.setdefault("trace", {})
     if d not in cache:
-        kern, frob = _kernel(ctx), _frob_matrix(ctx, d)
-        total, power = _mat_identity(ctx.n), frob  # S(1) and F^1
+        kern, frob = _kernel(ctx), _frob_cols(ctx, d)
+        total, power = _frob_cols(ctx, 0), frob  # S(1) and F^1
         for bit in bin(ctx.n // d)[3:]:
             total = _mat_add(total, _mat_mul(power, total, kern), kern)
             power = _mat_mul(power, power, kern)
@@ -539,8 +519,7 @@ def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
     d = ctx.f if down_to is None else down_to
     if d < 1 or ctx.n % d != 0:
         raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
-    cols = _packed_columns(ctx, "trace_cols", d, _trace_matrix)
-    return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, cols))
+    return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, _trace_cols(ctx, d)))
 
 
 def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
@@ -571,7 +550,7 @@ def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
     if key in ctx._cache:
         return ctx._cache[key]
     p = ctx.p
-    mat = [row[:] for row in _frob_matrix(ctx, d)]
+    mat = _matrix_rows(ctx, _frob_cols(ctx, d))
     for i in range(ctx.n):
         mat[i][i] = (mat[i][i] - 1) % p
     kern = _kernel(ctx)
@@ -739,79 +718,6 @@ def _fp_powmod(base, e: int, mod, ctx: FieldCtx):
     return result
 
 
-def roots_in_field(coeffs, ctx: FieldCtx) -> list[FieldElem]:
-    """All roots in ctx of a polynomial with coefficients in ctx.
-
-    ``coeffs`` is a low-degree-first sequence of FieldElem (or values
-    coercible by ctx.elem).  Seeded equal-degree splitting makes the
-    procedure deterministic; roots come back sorted by coefficient
-    tuple, with multiplicity collapsed.
-    """
-    f = _fp_trim([ctx.elem(c) for c in coeffs])
-    if not f:
-        raise ZeroPolynomial("the zero polynomial has every root")
-    f = _fp_monic(f, ctx)
-    roots = []
-    while len(f) > 1 and f[0].is_zero():
-        roots.append(ctx.zero())
-        f = f[1:]
-    if len(f) > 1:
-        # gcd with X^|E| - X isolates the distinct roots lying in ctx
-        xq = _fp_powmod([ctx.zero(), ctx.one()], ctx.order, f, ctx)
-        diff = _fp_trim([a - b for a, b in zip_pad(xq, [ctx.zero(), ctx.one()], ctx)])
-        lin = _fp_gcd(diff, f, ctx)
-        roots.extend(_split_linear(lin, ctx))
-    return sorted(set(roots), key=lambda e: e.coeffs)
-
-
-def zip_pad(a, b, ctx):
-    width = max(len(a), len(b))
-    a = list(a) + [ctx.zero()] * (width - len(a))
-    b = list(b) + [ctx.zero()] * (width - len(b))
-    return zip(a, b)
-
-
-def _split_linear(g, ctx: FieldCtx) -> list[FieldElem]:
-    """Roots of a monic product of distinct linear factors over ctx."""
-    rng = Random(0xE17)
-    out = []
-    stack = [g]
-    guard = 0
-    while stack:
-        g = stack.pop()
-        if len(g) <= 1:
-            continue
-        if len(g) == 2:
-            out.append(-g[0])
-            continue
-        guard += 1
-        if guard > 400 * len(g):
-            raise RuntimeError("root splitting failed to converge")
-        u = [ctx.random_element(rng) for _ in range(len(g) - 1)]
-        if ctx.p == 2:
-            # absolute trace map onto F_2 splits the roots in two
-            w = _fp_mod(u, g, ctx)
-            acc = w
-            for _ in range(ctx.n - 1):
-                w = _fp_mod(_fp_mul(w, w, ctx), g, ctx)
-                acc = [a + b for a, b in zip_pad(acc, w, ctx)]
-            h = _fp_gcd(_fp_trim(acc), g, ctx)
-        else:
-            w = _fp_powmod(u, (ctx.order - 1) // 2, g, ctx)
-            w = list(w)
-            if w:
-                w[0] = w[0] - ctx.one()
-            else:
-                w = [-ctx.one()]
-            h = _fp_gcd(_fp_trim(w), g, ctx)
-        if 0 < len(h) - 1 < len(g) - 1:
-            stack.append(h)
-            stack.append(_fp_divmod(g, h, ctx)[0])
-        else:
-            stack.append(g)
-    return out
-
-
 # -- subfield embeddings ------------------------------------------------------
 
 
@@ -866,11 +772,10 @@ def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
     """Image in dst of the generator t of src, cached per context pair.
 
     For a different presentation this is the root of the source modulus
-    g in dst that is smallest by coefficient tuple, the same element as
-    ``roots_in_field(g, dst)[0]``.  g is irreducible over F_p of degree
-    d | n, so its roots are the d distinct conjugates phi^i(theta),
-    i < d, of any one root theta; ``_one_root`` finds one and the
-    smallest conjugate is kept.
+    g in dst that is smallest by coefficient tuple.  g is irreducible
+    over F_p of degree d | n, so its roots are the d distinct conjugates
+    phi^i(theta), i < d, of any one root theta; ``_one_root`` finds one
+    and the smallest conjugate is kept.
     """
     key = (src, dst)
     if key not in _EMBED_CACHE:

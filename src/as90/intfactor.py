@@ -1,9 +1,11 @@
 """Integer factorization sized for group orders up to 2^64.
 
-Trial division up to 10^6 strips small primes; anything left is handled
-by a deterministic Miller-Rabin test plus Pollard rho with Floyd's
-cycle detection.  Inputs above 2^64, the largest group order the field
-scale limit allows, are refused rather than attempted.
+Trial division up to 10^6 strips small primes, and stops as soon as
+what is left passes a deterministic Miller-Rabin test, which runs first
+and again after each prime is stripped; a composite remainder is split
+by Pollard rho with Floyd's cycle detection.  Inputs above 2^64, the
+largest group order the field scale limit allows, are refused rather
+than attempted.
 """
 
 from __future__ import annotations
@@ -56,10 +58,13 @@ def factorint(m: int) -> dict[int, int]:
         )
     out: dict[int, int] = {}
     d = 2
-    while d <= _TRIAL_LIMIT and d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
+    prime_left = is_prime(m)
+    while not prime_left and d <= _TRIAL_LIMIT and d * d <= m:
+        if m % d == 0:
+            while m % d == 0:
+                out[d] = out.get(d, 0) + 1
+                m //= d
+            prime_left = is_prime(m)
         d += 1 if d == 2 else 2
     stack = [m] if m > 1 else []
     while stack:

@@ -136,6 +136,17 @@ class PrimePoly:
     @classmethod
     def parse(cls, text: str, p: int | None = None) -> "PrimePoly":
         """Parse either text format; coefficient form carries its own p."""
+        p, terms = cls.parse_terms(text, p)
+        out = [0] * (max(terms, default=-1) + 1)
+        for k, c in terms.items():
+            out[k] = c
+        return cls(p, out)
+
+    @staticmethod
+    def parse_terms(text: str, p: int | None = None) -> tuple[int, dict[int, int]]:
+        """The prime and the {exponent: coefficient} terms of either text
+        format, coefficients not yet reduced mod p.  No list as long as
+        the degree is built, so t^(10^9) costs no more than t."""
         text = text.strip()
         if text.startswith("p:"):
             head, _, tail = text.partition(";")
@@ -145,13 +156,12 @@ class PrimePoly:
             if not tail.startswith("coeffs:"):
                 raise ValueError(f"bad coefficient form: {text!r}")
             body = tail[len("coeffs:"):].strip()
-            coeffs = [int(c) for c in body.split(",")] if body else []
-            return cls(pp, coeffs)
+            return pp, dict(enumerate(int(c) for c in body.split(","))) if body else {}
         if p is None:
             raise ValueError("human polynomial form needs an explicit p")
         text = text.replace(" ", "").replace("−", "-")
         if text in ("0", ""):
-            return cls.zero(p)
+            return p, {}
         # normalize into signed terms
         text = text.replace("-", "+-")
         coeffs: dict[int, int] = {}
@@ -171,10 +181,7 @@ class PrimePoly:
             else:
                 raise ValueError(f"cannot parse term {term!r}")
             coeffs[k] = coeffs.get(k, 0) + sign * c
-        out = [0] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c % p
-        return cls(p, out)
+        return p, coeffs
 
     # -- printing ----------------------------------------------------------
 

@@ -278,15 +278,23 @@ def test_prime_r_witness_period():
 
 # -- cube root of unity witness (p = 2 mod 3) ------------------------------------
 
+def least_cube_root_of_unity(ctx):
+    """The lesser of c and c^2 by coefficient tuple, c = a^((q - 1)/3) for
+    the first a in lex order with c != 1: the two roots of t^2 + t + 1."""
+    for a in ctx.elements_lex():
+        if not a.is_zero():
+            c = a ** ((ctx.order - 1) // 3)
+            if c != 1:
+                return min(c, c * c, key=lambda e: e.coeffs)
+
+
 def test_p2mod3_f64_coefficient_cycle():
     # coefficients (i//2) - (i%2) w cycle through 0, w, 1, w^2
     ctx = make_ctx(2, 6)
     rng = Random(51)
     y = trace_zero_sample(ctx, rng)
     rs = root_p2mod3(inst(ctx, y))
-    from as90.fields import roots_in_field
-
-    w = roots_in_field((1, 1, 1), ctx)[0]
+    w = least_cube_root_of_unity(ctx)
     cycle = [ctx.zero(), w, ctx.one(), w * w]
     x = ctx.zero()
     yw = y
@@ -300,13 +308,11 @@ def test_p2mod3_f64_coefficient_cycle():
 def test_p2mod3_matches_cube_root_coefficients():
     # x = (n/2)^{-1} sum_i (floor(i/2) - (i mod 2) w) y^{p^i}, with w the
     # least cube root of unity by coefficient tuple, in the statement sign
-    from as90.fields import roots_in_field
-
     rng = Random(54)
     for p, n in [(2, 2), (2, 6), (2, 10), (5, 2), (5, 4), (5, 6), (11, 2),
                  (11, 4), (17, 2), (17, 4)]:
         ctx = make_ctx(p, n)
-        w = roots_in_field((1, 1, 1), ctx)[0]
+        w = least_cube_root_of_unity(ctx)
         scalar = pow((n // 2) % p, -1, p)
         for _ in range(3):
             y = trace_zero_sample(ctx, rng)

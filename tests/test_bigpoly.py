@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from as90.bigpoly import (
+    CYCLOTOMIC_DEGREE_LIMIT,
     TABLE_ROWS,
     classify,
     cyclotomic,
@@ -20,9 +21,9 @@ from as90.bigpoly import (
     tensor_product,
     verify_table_entry,
 )
-from as90.errors import EqualPrimes, NotFound, NotPrime, ZeroPolynomial
+from as90.errors import EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
 from as90.fields import element_order, make_ctx
-from as90.polys import PrimePoly, factor, is_irreducible
+from as90.polys import PrimePoly, factor, is_irreducible, is_prime
 
 
 def P(text, p=2):
@@ -132,6 +133,16 @@ def test_cyclotomic_prime_all_ones():
     assert cyclotomic_prime(3, 5) == P("t^2+t+1", 5)
     with pytest.raises(NotPrime):
         cyclotomic_prime(6, 2)
+
+
+def test_cyclotomic_prime_refuses_huge_degree():
+    limit = CYCLOTOMIC_DEGREE_LIMIT
+    below = next(r for r in range(limit + 1, 2, -1) if is_prime(r))
+    above = next(r for r in range(limit + 2, 2 * limit + 2) if is_prime(r))
+    assert cyclotomic_prime(below, 2).degree == below - 1
+    for r in (above, 2**31 - 1):
+        with pytest.raises(OrderTooLarge):
+            cyclotomic_prime(r, 2)
 
 
 def test_cyclotomic_general_agrees_on_primes():

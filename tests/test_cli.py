@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +20,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def run_process(*argv, flags=(), timeout=120):
-    """Run the CLI of this checkout in a fresh interpreter."""
+def run_process(*argv, flags=(), timeout=120, address_space=None):
+    """Run the CLI of this checkout in a fresh interpreter, its address
+    space capped at ``address_space`` bytes when given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, *flags, "-m", "as90.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=cap if address_space else None,
     )
 
 
@@ -448,3 +455,21 @@ def test_usage_error_exit_code():
 def test_main_no_args_shows_help():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_huge_exponent_in_element_text_is_reduced():
+    # t^(10^9) = t^160 in GF(2^8), whose unit group has order 255
+    huge = run_process("root", "--p", "2", "--n", "8", "--y", "t^1000000000", "--json",
+                       timeout=60, address_space=2**30)
+    small = run_process("root", "--p", "2", "--n", "8", "--y", "t^160", "--json")
+    assert huge.returncode == small.returncode == 0, huge.stderr
+    assert huge.stdout == small.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("root", "--p", "2", "--n", "31", "--y", "0", "--method", "prime-r", "--r", str(2**31 - 1)),
+    ("cyclotomic", "--r", str(2**31 - 1), "--p", "2"),
+])
+def test_huge_cyclotomic_index_is_domain_error(argv):
+    proc = run_process(*argv, timeout=60, address_space=2**30)
+    assert proc.returncode == 2, proc.stderr

@@ -1,0 +1,50 @@
+"""Integer factorization of group orders up to 2^64."""
+
+import pytest
+
+from as90.errors import FactorizationTooHard
+from as90.intfactor import factorint
+
+#: m -> factorint(m) as (prime, exponent) pairs in the order returned by
+#: the factorizer that trial-divided up to 10^6 before any primality
+#: test: the group orders of the poly-search benchmark, then primes and
+#: semiprimes near 2^64, some with a factor above the trial limit.
+REFERENCE = {
+    2**8 - 1: [(3, 1), (5, 1), (17, 1)],
+    2**16 - 1: [(3, 1), (5, 1), (17, 1), (257, 1)],
+    2**32 - 1: [(3, 1), (5, 1), (17, 1), (257, 1), (65537, 1)],
+    2**48 - 1: [(3, 2), (5, 1), (7, 1), (13, 1), (17, 1), (97, 1), (241, 1), (257, 1),
+                (673, 1)],
+    2**61 - 1: [(2305843009213693951, 1)],
+    2**62 - 1: [(3, 1), (2147483647, 1), (715827883, 1)],
+    2**64 - 1: [(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)],
+    3**12 - 1: [(2, 4), (5, 1), (7, 1), (13, 1), (73, 1)],
+    3**40 - 1: [(2, 5), (5, 2), (11, 2), (41, 1), (61, 1), (1181, 1), (42521761, 1)],
+    5**27 - 1: [(2, 2), (19, 1), (31, 1), (109, 1), (271, 1), (829, 1), (4159, 1),
+                (31051, 1)],
+    7**14 - 1: [(2, 4), (3, 1), (29, 1), (113, 1), (911, 1), (4733, 1)],
+    65521**4 - 1: [(2, 6), (3, 2), (5, 1), (7, 1), (13, 1), (37, 1), (181, 2), (569, 1),
+                   (101957, 1)],
+    4294967291 * 4294967279: [(4294967291, 1), (4294967279, 1)],
+    2097143 * 8796130771093: [(8796130771093, 1), (2097143, 1)],
+    3 * 6148914691236517199: [(3, 1), (6148914691236517199, 1)],
+    1000003 * 18446688733531: [(18446688733531, 1), (1000003, 1)],
+    2**64 - 59: [(2**64 - 59, 1)],
+    2**63 - 25: [(2**63 - 25, 1)],
+}
+
+
+@pytest.mark.parametrize("m", sorted(REFERENCE))
+def test_factorint_matches_reference(m):
+    assert list(factorint(m).items()) == REFERENCE[m]
+
+
+def test_factorint_small_and_refused():
+    assert factorint(1) == {}
+    assert factorint(2) == {2: 1}
+    assert factorint(2**20) == {2: 20}
+    assert factorint(2**64) == {2: 64}
+    with pytest.raises(FactorizationTooHard):
+        factorint(2**64 + 1)
+    with pytest.raises(ValueError):
+        factorint(0)
