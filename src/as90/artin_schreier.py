@@ -23,11 +23,11 @@ sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 from operator import add, mul
 
+from ._record import Record
 from .bigpoly import TABLE_ROWS, classify, factor_cyclotomic, ord_mod
 from .errors import (
     BadOrder,
@@ -65,31 +65,31 @@ KNOWN_EXPONENTS: dict[int, list] = {
 BRUTE_FORCE_LIMIT = 2**24
 
 
-@dataclass
-class ArtinSchreierInstance:
-    """The polynomial t^q - t - y over the field of ctx."""
+class ArtinSchreierInstance(Record):
+    """The polynomial t^q - t - y over the field of ctx; y is coerced
+    into the field."""
 
-    ctx: FieldCtx
-    y: FieldElem
+    __slots__ = _fields = ("ctx", "y")
 
-    def __post_init__(self):
-        self.y = self.ctx.elem(self.y)
+    def __init__(self, ctx: FieldCtx, y: FieldElem):
+        self.ctx, self.y = ctx, ctx.elem(y)
 
     def polynomial_str(self) -> str:
         return f"t^{self.ctx.q}-t-({self.y})"
 
 
-@dataclass
-class RootSet:
-    """The coset base_root + GF(q) of roots, materialized on demand."""
+class RootSet(Record):
+    """The coset base_root + GF(q) of roots, materialized on demand;
+    the cached list ``_roots`` takes part in neither equality nor repr."""
 
-    ctx: FieldCtx
-    base_root: FieldElem
-    q: int
-    method: str
-    verified: bool
-    notes: dict = field(default_factory=dict)
-    _roots: list | None = field(default=None, repr=False, compare=False)
+    _fields = ("ctx", "base_root", "q", "method", "verified", "notes")
+    __slots__ = _fields + ("_roots",)
+
+    def __init__(self, ctx: FieldCtx, base_root: FieldElem, q: int, method: str,
+                 verified: bool, notes: dict | None = None, _roots: list | None = None):
+        self.ctx, self.base_root, self.q, self.method = ctx, base_root, q, method
+        self.verified, self._roots = verified, _roots
+        self.notes = {} if notes is None else notes
 
     def roots(self) -> list[FieldElem]:
         if self._roots is None:
@@ -104,14 +104,14 @@ class RootSet:
         return frobenius(diff, 1) == diff  # difference of roots sits in GF(q)
 
 
-@dataclass
-class IrreducibilityReport:
-    """What can be said when no root exists in the field."""
+class IrreducibilityReport(Record):
+    """What can be said when no root exists in the field; status is
+    "irreducible" or "undetermined"."""
 
-    ctx: FieldCtx
-    y: FieldElem
-    status: str  # "irreducible" or "undetermined"
-    conclusion: str
+    __slots__ = _fields = ("ctx", "y", "status", "conclusion")
+
+    def __init__(self, ctx: FieldCtx, y: FieldElem, status: str, conclusion: str):
+        self.ctx, self.y, self.status, self.conclusion = ctx, y, status, conclusion
 
 
 def has_root(inst: ArtinSchreierInstance) -> bool:

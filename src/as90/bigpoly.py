@@ -12,9 +12,9 @@ certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
+from ._record import Record
 from .errors import EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
 from .intfactor import factorint
 from .periodicity import sequence_period
@@ -40,6 +40,10 @@ from .polys import (
 #: polynomial is stored densely, and splitting it takes about a second at
 #: degree 700 and grows roughly with the cube of the degree.
 CYCLOTOMIC_DEGREE_LIMIT = 2**12
+#: Largest degree ``tensor_product`` builds.  Its characteristic
+#: polynomial is that of a dense square matrix of this size, about two
+#: seconds at degree 256 over F_2.
+TENSOR_DEGREE_LIMIT = 2**8
 
 TABLE_ROWS: dict[int, tuple[str, PrimePoly]] = {
     2: ("ω", PrimePoly.parse("t^2+t+1", 2)),
@@ -50,14 +54,14 @@ TABLE_ROWS: dict[int, tuple[str, PrimePoly]] = {
 }
 
 
-@dataclass
-class BigClass:
+class BigClass(Record):
     """Classification of a nonzero polynomial by its top coefficients."""
 
-    degree: int
-    leading: int
-    subleading: int | None
-    is_big: bool
+    __slots__ = _fields = ("degree", "leading", "subleading", "is_big")
+
+    def __init__(self, degree: int, leading: int, subleading: int | None, is_big: bool):
+        self.degree, self.leading, self.subleading, self.is_big = (
+            degree, leading, subleading, is_big)
 
     @property
     def value(self) -> str:
@@ -143,6 +147,7 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     Computed exactly as lead(a)^deg(b) * lead(b)^deg(a) times the
     characteristic polynomial of the Kronecker product of the two
     companion matrices.  Degrees multiply; big times big stays big.
+    A product above TENSOR_DEGREE_LIMIT raises OrderTooLarge.
     """
     if a.is_zero() or b.is_zero():
         raise ZeroPolynomial("tensor products need nonzero polynomials")
@@ -150,6 +155,8 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
         raise ValueError("mixed characteristics")
     p = a.p
     m, n = a.degree, b.degree
+    if m * n > TENSOR_DEGREE_LIMIT:
+        raise OrderTooLarge(f"tensor product degree {m * n} is above {TENSOR_DEGREE_LIMIT}")
     scale = pow(a.leading(), n, p) * pow(b.leading(), m, p) % p
     if m == 0 or n == 0:
         return PrimePoly(p, (scale,))
@@ -267,14 +274,13 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
     raise NotFound(f"no big primitive of degree {e} over F_{p}")
 
 
-@dataclass
-class TableCheck:
+class TableCheck(Record):
     """Per-check outcome of validating one reference-table row."""
 
-    n_2: int
-    candidate: PrimePoly
-    checks: dict[str, bool]
-    passed: bool
+    __slots__ = _fields = ("n_2", "candidate", "checks", "passed")
+
+    def __init__(self, n_2: int, candidate: PrimePoly, checks: dict[str, bool], passed: bool):
+        self.n_2, self.candidate, self.checks, self.passed = n_2, candidate, checks, passed
 
     def to_dict(self) -> dict:
         return {

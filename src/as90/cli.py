@@ -33,6 +33,7 @@ from .artin_schreier import (
 )
 from .bigpoly import (
     TABLE_ROWS,
+    TENSOR_DEGREE_LIMIT,
     classify,
     cyclotomic_prime,
     factor_cyclotomic,
@@ -81,9 +82,7 @@ def fmt_elem(e: FieldElem, how: str) -> str:
 
 
 def _build_ctx(args) -> FieldCtx:
-    modulus = None
-    if getattr(args, "modulus", None):
-        modulus = PrimePoly.parse(args.modulus, p=args.p)
+    modulus = getattr(args, "modulus", None) or None
     return make_ctx(args.p, args.n, modulus=modulus, f=getattr(args, "f", 1))
 
 
@@ -297,8 +296,8 @@ def cmd_cyclotomic(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    a = PrimePoly.parse(args.a, p=args.p)
-    b = PrimePoly.parse(args.b, p=args.p)
+    a = PrimePoly.parse(args.a, p=args.p, max_degree=TENSOR_DEGREE_LIMIT)
+    b = PrimePoly.parse(args.b, p=args.p, max_degree=TENSOR_DEGREE_LIMIT)
     prod = tensor_product(a, b)
     payload = {
         "a": str(a), "b": str(b), "p": args.p,

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 import operator
 from random import Random
 
+from ._record import Record
 from .errors import (
     BadSubfieldStep,
     CtxMismatch,
@@ -51,15 +51,30 @@ SCALE_LIMIT = 2**64
 _BSGS_PRIME_LIMIT = 2**32
 
 
-@dataclass(frozen=True)
-class FieldCtx:
-    """Immutable description of GF(p^n) over the subfield GF(p^f)."""
+class FieldCtx(Record):
+    """Immutable description of GF(p^n) over the subfield GF(p^f).
 
-    p: int
-    n: int
-    modulus: PrimePoly
-    f: int = 1
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    Equality and hash go by (p, n, modulus, f); ``_cache`` holds the
+    lazily built maps and takes part in neither.
+    """
+
+    __slots__ = ("p", "n", "modulus", "f", "_cache")
+    _fields = ("p", "n", "modulus", "f")
+
+    def __init__(self, p: int, n: int, modulus: PrimePoly, f: int = 1,
+                 _cache: dict | None = None):
+        values = (p, n, modulus, f, {} if _cache is None else _cache)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldCtx is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldCtx is immutable")
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def q(self) -> int:
@@ -166,7 +181,7 @@ def make_ctx(p: int, n: int, modulus=None, f: int = 1) -> FieldCtx:
     Frobenius matrices be shared.
     """
     if isinstance(modulus, str):
-        modulus = PrimePoly.parse(modulus, p)
+        modulus = PrimePoly.parse(modulus, p, max_degree=n)
     elif isinstance(modulus, (list, tuple)):
         modulus = PrimePoly(p, modulus)
     return _make_ctx_cached(p, n, modulus, f)
@@ -467,17 +482,23 @@ def solve_in_span(columns, target, p: int):
 
 def _frob_cols(ctx: FieldCtx, j: int):
     """Packed columns of x -> x^(p^j) in the power basis, cached per
-    context.  Column i is (t^(p^j))^i, with t^(p^j) computed in the
-    field, so each power is built on its own; power 0 is the identity."""
+    context.  A power that is the sum of two cached powers is their
+    matrix product; any other is built on its own, column i being
+    (t^(p^j))^i with t^(p^j) computed in the field, so power 0 is the
+    identity and no chain of lower powers is needed."""
     j %= ctx.n
     cache = ctx._cache.setdefault("frob", {})
     if j not in cache:
         kern = _kernel(ctx)
-        x = (ctx.gen() ** ctx.p**j).coeffs
-        powers = [ctx.one().coeffs]
-        for _ in range(ctx.n - 1):
-            powers.append(kern.mul(powers[-1], x))
-        cache[j] = [kern.pack(c) for c in powers]
+        h = next((h for h in cache if (j - h) % ctx.n in cache), None)
+        if h is not None:
+            cache[j] = _mat_mul(cache[h], cache[(j - h) % ctx.n], kern)
+        else:
+            x = (ctx.gen() ** ctx.p**j).coeffs
+            powers = [ctx.one().coeffs]
+            for _ in range(ctx.n - 1):
+                powers.append(kern.mul(powers[-1], x))
+            cache[j] = [kern.pack(c) for c in powers]
     return cache[j]
 
 
@@ -524,18 +545,22 @@ def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
 
 def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
     """Degree of a over the degree-d subfield: the size of the orbit of
-    a under x -> x^(p^d)."""
+    a under x -> x^(p^d).
+
+    The size divides n/d, and it is the least e with x^(p^(de)) fixing
+    a.  Starting from e = n/d, each prime l of n/d is divided out of e
+    while x^(p^(de/l)) still fixes a, so the cost is one cached
+    Frobenius power per prime factor rather than a walk along the orbit.
+    """
     ctx = a.ctx
     d = ctx.f if d is None else d
     if d < 1 or ctx.n % d != 0:
         raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
-    kern, cols = _kernel(ctx), _frob_cols(ctx, d)
-    cur = kern.combine(a.coeffs, cols)
-    k = 1
-    while cur != a.coeffs:
-        cur = kern.combine(cur, cols)
-        k += 1
-    return k
+    kern, e = _kernel(ctx), ctx.n // d
+    for ell in factorint(e):
+        while e % ell == 0 and kern.combine(a.coeffs, _frob_cols(ctx, d * e // ell)) == a.coeffs:
+            e //= ell
+    return e
 
 
 def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:

@@ -14,9 +14,9 @@ witnesses, evaluates R, and packages verified (y, z, x) certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 
+from ._record import Record
 from .errors import (
     CtxMismatch,
     NoSuchDegree,
@@ -47,24 +47,23 @@ __all__ = [
 ]
 
 
-@dataclass
-class TraceOneWitness:
+class TraceOneWitness(Record):
     """An element z of E with trace 1 over F and deg_F(z) = e."""
 
-    z: FieldElem
-    e: int
-    provenance: str
+    __slots__ = _fields = ("z", "e", "provenance")
+
+    def __init__(self, z: FieldElem, e: int, provenance: str):
+        self.z, self.e, self.provenance = z, e, provenance
 
 
-@dataclass
-class RootCertificate:
+class RootCertificate(Record):
     """A checked solution of sigma^k(x) - x = y built from witness z."""
 
-    y: FieldElem
-    z: FieldElem
-    x: FieldElem
-    k: int = 1
-    checked: bool = False
+    __slots__ = _fields = ("y", "z", "x", "k", "checked")
+
+    def __init__(self, y: FieldElem, z: FieldElem, x: FieldElem, k: int = 1,
+                 checked: bool = False):
+        self.y, self.z, self.x, self.k, self.checked = y, z, x, k, checked
 
     def serialize(self) -> str:
         ctx = self.y.ctx
@@ -184,17 +183,35 @@ def partial_trace_sequence(
 
 
 def _r_raw(a: FieldElem, b: FieldElem, k: int = 1) -> FieldElem:
-    """R(a, b) = sum_i (sum_{j<i} sigma^{jk} b) sigma^{ik} a, no checks."""
-    ctx = a.ctx
-    acc = ctx.zero()
-    partial = ctx.zero()
-    aw, bw = a, b
-    for _ in range(ctx.m):
-        acc = acc + partial * aw
-        partial = partial + bw
-        aw = frobenius(aw, k)
-        bw = frobenius(bw, k)
-    return acc
+    """R(a, b) = sum_{i<m} x_i sigma^{ik}(a), x_i = sum_{j<i} sigma^{jk}(b),
+    no checks.
+
+    Evaluated by doubling (von zur Gathen & Shoup, 1992).  A block of
+    length L is (A, X, Y) = (sum_{i<L} x_i sigma^{ik}(a), x_L,
+    sum_{i<L} sigma^{ik}(a)), and R(a, b) is the A of the block of
+    length m.  Along the bits of m, low first, the block of length 2^i
+    is doubled and, when bit i is set, put in front of the result; both
+    steps shift by sigma^{k 2^i} only, so a call costs O(log m) cached
+    Frobenius powers instead of 2m Frobenius steps.
+    """
+    m, step = a.ctx.m, k
+    block, out = (a.ctx.zero(), b, a), None
+    while True:
+        if m & 1:
+            out = block if out is None else _join(block, out, step)
+        m >>= 1
+        if not m:
+            return out[0]
+        block = _join(block, block, step)
+        step *= 2
+
+
+def _join(first, second, step):
+    """Block ``first`` of length L followed by block ``second``, where
+    sigma^step shifts by L: the partial sums of ``second`` start at x_L."""
+    a1, x1, y1 = first
+    a2, x2, y2 = (frobenius(v, step) for v in second)
+    return a1 + x1 * y2 + a2, x1 + x2, y1 + y2
 
 
 def r_form(y: FieldElem, z: FieldElem, ctx: FieldCtx | None = None, k: int = 1) -> RootCertificate:

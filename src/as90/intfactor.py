@@ -1,11 +1,15 @@
 """Integer factorization sized for group orders up to 2^64.
 
-Trial division up to 10^6 strips small primes, and stops as soon as
+Trial division up to 10^4 strips small primes, and stops as soon as
 what is left passes a deterministic Miller-Rabin test, which runs first
 and again after each prime is stripped; a composite remainder is split
 by Pollard rho with Floyd's cycle detection.  Inputs above 2^64, the
 largest group order the field scale limit allows, are refused rather
 than attempted.
+
+The order of the returned factors does not depend on where trial
+division stops: prime factors up to 10^6 come first, smallest first,
+and larger ones follow in the order rho splits them off.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import math
 from .errors import FactorizationTooHard
 from .polys import is_prime
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 10**4
+_SORTED_LIMIT = 10**6
 _FACTOR_BOUND = 2**64
 
 
@@ -66,15 +71,19 @@ def factorint(m: int) -> dict[int, int]:
                 m //= d
             prime_left = is_prime(m)
         d += 1 if d == 2 else 2
-    stack = [m] if m > 1 else []
+    stack, found = ([m] if m > 1 else []), []
     while stack:
         v = stack.pop()
         if v == 1:
             continue
         if is_prime(v):
-            out[v] = out.get(v, 0) + 1
+            found.append(v)
             continue
         f = _pollard_rho(v)
         stack.append(f)
         stack.append(v // f)
+    # stable, so the factors above _SORTED_LIMIT keep the order rho found
+    found.sort(key=lambda q: min(q, _SORTED_LIMIT + 1))
+    for q in found:
+        out[q] = out.get(q, 0) + 1
     return out

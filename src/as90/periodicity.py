@@ -10,21 +10,19 @@ wrap-arounds) on live field data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import NoPeriodWithinBound, TraceNotOne
 from .fields import FieldCtx, FieldElem, degree_over_subfield, frobenius, trace
 from .intfactor import p_part
 
 
-@dataclass
-class PartialTraceSeq:
+class PartialTraceSeq(Record):
     """A stored prefix of the sequence x_i = sum_{j<i} sigma^j(z)."""
 
-    terms: list
-    p: int
-    e: int
-    period: int | None
+    __slots__ = _fields = ("terms", "p", "e", "period")
+
+    def __init__(self, terms: list, p: int, e: int, period: int | None):
+        self.terms, self.p, self.e, self.period = terms, p, e, period
 
     def __len__(self):
         return len(self.terms)
@@ -33,16 +31,16 @@ class PartialTraceSeq:
         return self.terms[i]
 
 
-@dataclass
-class PeriodReport:
+class PeriodReport(Record):
     """Outcome of checking the period statement for one witness."""
 
-    e: int
-    n_p: int
-    period: int
-    expected_period: int
-    interior_nonzero: bool
-    passed: bool
+    __slots__ = _fields = ("e", "n_p", "period", "expected_period", "interior_nonzero", "passed")
+
+    def __init__(self, e: int, n_p: int, period: int, expected_period: int,
+                 interior_nonzero: bool, passed: bool):
+        self.e, self.n_p, self.period = e, n_p, period
+        self.expected_period, self.interior_nonzero, self.passed = (
+            expected_period, interior_nonzero, passed)
 
     def to_dict(self) -> dict:
         return {

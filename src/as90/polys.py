@@ -13,7 +13,13 @@ from __future__ import annotations
 import re
 from random import Random
 
-from .errors import DivisionByZero, FactorizationTooHard, NotPrime, ZeroPolynomial
+from .errors import (
+    DivisionByZero,
+    FactorizationTooHard,
+    NotPrime,
+    OrderTooLarge,
+    ZeroPolynomial,
+)
 
 _TERM_RE = re.compile(r"^(\d*)\s*\*?\s*t(?:\^(\d+))?$")
 
@@ -134,13 +140,22 @@ class PrimePoly:
         return cls(p, (0,) * degree + (1,))
 
     @classmethod
-    def parse(cls, text: str, p: int | None = None) -> "PrimePoly":
-        """Parse either text format; coefficient form carries its own p."""
+    def parse(cls, text: str, p: int | None = None,
+              max_degree: int | None = None) -> "PrimePoly":
+        """Parse either text format; coefficient form carries its own p.
+        A degree above ``max_degree`` raises OrderTooLarge before the
+        coefficient list is built."""
         p, terms = cls.parse_terms(text, p)
-        out = [0] * (max(terms, default=-1) + 1)
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        terms = {k: c % p for k, c in terms.items() if c % p}
+        degree = max(terms, default=-1)
+        if max_degree is not None and degree > max_degree:
+            raise OrderTooLarge(f"polynomial degree {degree} is above {max_degree}")
+        out = [0] * (degree + 1)
         for k, c in terms.items():
             out[k] = c
-        return cls(p, out)
+        return cls._of(p, out)
 
     @staticmethod
     def parse_terms(text: str, p: int | None = None) -> tuple[int, dict[int, int]]:

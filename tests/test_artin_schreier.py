@@ -128,6 +128,25 @@ def test_rootset_materialization():
     assert frobenius(outsider, 1) - outsider != y
 
 
+def test_records_compare_and_print_their_fields():
+    ctx = make_ctx(2, 4, modulus="t^4+t^3+1")
+    a = inst(ctx, 5)  # y is coerced into the field
+    assert a.y == ctx.elem(5) and a == inst(ctx, ctx.elem(5)) and a != inst(ctx, 0)
+    assert repr(a) == ("ArtinSchreierInstance(ctx=FieldCtx(p=2, n=4, modulus=PrimePoly(2, "
+                       "t^4+t^3+1), f=1), y=<1 in GF(2^4) mod t^4+t^3+1>)")
+    rs = RootSet(ctx, ctx.one(), 2, "coprime", True)
+    assert rs.notes == {} and rs.notes is not RootSet(ctx, ctx.one(), 2, "coprime", True).notes
+    rs.roots()  # fills _roots, which takes part in neither == nor repr
+    assert rs == RootSet(ctx, ctx.one(), 2, "coprime", True, _roots=[])
+    assert rs != RootSet(ctx, ctx.one(), 2, "coprime", True, {"z": "1"})
+    assert repr(rs).endswith("q=2, method='coprime', verified=True, notes={})")
+    report = IrreducibilityReport(ctx, ctx.one(), "irreducible", "irreducible")
+    assert report == IrreducibilityReport(ctx, ctx.one(), "irreducible", "irreducible")
+    assert report != rs and report.__eq__(rs) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 def test_missing_root_raises():
     odd = make_ctx(2, 3)
     assert trace(odd.one(), 1) == 1  # n odd

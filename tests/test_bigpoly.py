@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from as90.bigpoly import (
     CYCLOTOMIC_DEGREE_LIMIT,
     TABLE_ROWS,
+    TENSOR_DEGREE_LIMIT,
     classify,
     cyclotomic,
     cyclotomic_prime,
@@ -243,6 +244,15 @@ def test_tensor_preserves_bigness_sampled():
                 continue
             hits += 1
             assert classify(tensor_product(a, b)).is_big
+
+
+def test_tensor_refuses_degree_above_limit():
+    limit = TENSOR_DEGREE_LIMIT
+    assert tensor_product(PrimePoly.x(2, limit), P("t+1")) == PrimePoly.x(2, limit)
+    with pytest.raises(OrderTooLarge):
+        tensor_product(PrimePoly.x(2, limit + 1), P("t+1"))
+    with pytest.raises(OrderTooLarge):
+        tensor_product(PrimePoly.x(2, 17), PrimePoly.x(2, 16))
 
 
 def test_tensor_rejects_zero_and_mixed():

@@ -380,6 +380,15 @@ def test_optimized_interpreter_same_output():
             assert "verified" not in payload and payload["count"] == 2
         else:
             assert payload["verified"] is True
+    # R(y, z) by doubling: m = 2^6 runs every doubling step, and h90
+    # evaluates both orientations R(y, z) and R(z, y)
+    for argv in (("root", "--p", "2", "--n", "64", "--y", "t+t^2", "--json"),
+                 ("h90", "--p", "2", "--n", "6", "--y", "t+t^4", "--z", "t^3", "--json")):
+        plain = run_process(*argv)
+        optimized = run_process(*argv, flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0, argv
+        assert optimized.stdout == plain.stdout, argv
+        assert json.loads(plain.stdout)["verified"] is True
 
 
 def test_source_has_no_assert_statements():
@@ -435,15 +444,17 @@ def test_factor_bound_variable_is_ignored(monkeypatch):
 
 
 def test_cli_import_loads_no_numpy():
+    # nor dataclasses, which pulls in inspect, ast and dis
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import sys, as90.cli; print('numpy' in sys.modules)"],
+         "import sys, as90.cli; "
+         "print([m for m in ('numpy', 'inspect', 'dataclasses') if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_code():
@@ -471,5 +482,17 @@ def test_huge_exponent_in_element_text_is_reduced():
     ("cyclotomic", "--r", str(2**31 - 1), "--p", "2"),
 ])
 def test_huge_cyclotomic_index_is_domain_error(argv):
+    proc = run_process(*argv, timeout=60, address_space=2**30)
+    assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("root", "--p", "2", "--n", "8", "--modulus", "t^1000000000", "--y", "1"),
+    ("root", "--p", "2", "--n", "8", "--modulus", "t^1000000000+t^8+t^4+t^3+t^2+1", "--y", "1"),
+    ("tensor", "--p", "2", "--a", "t^1000000000", "--b", "t+1"),
+    ("tensor", "--p", "2", "--a", "t+1", "--b", "p:2;coeffs:" + ",".join(["1"] * 40000)),
+])
+def test_huge_polynomial_text_is_domain_error(argv):
+    # the degree is read off the text before any coefficient list is built
     proc = run_process(*argv, timeout=60, address_space=2**30)
     assert proc.returncode == 2, proc.stderr

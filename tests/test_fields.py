@@ -15,6 +15,7 @@ from as90.errors import (
     NoEmbedding,
     NotInSubgroup,
     NotPrime,
+    OrderTooLarge,
     ReducibleModulus,
 )
 from as90 import fields
@@ -58,6 +59,8 @@ def test_make_ctx_validation():
         make_ctx(2, 6, f=4)
     with pytest.raises(FieldTooLarge):
         make_ctx(2, 65)
+    with pytest.raises(OrderTooLarge):  # the degree is above n
+        make_ctx(2, 8, modulus="t^100000+t^4+t^3+t^2+1")
 
 
 def test_ctx_basics():
@@ -66,6 +69,20 @@ def test_ctx_basics():
     assert ctx.q == 8 and ctx.m == 4
     assert "GF(2^12)" in ctx.describe()
     assert make_ctx(2, 2) is F4  # cached
+
+
+def test_ctx_is_an_immutable_hashable_value():
+    ctx = make_ctx(2, 4, modulus="t^4+t^3+1")
+    twin = fields.FieldCtx(2, 4, ctx.modulus, 1, {"filled": True})
+    assert twin == ctx and hash(twin) == hash(ctx) and twin is not ctx
+    assert fields.FieldCtx(2, 4, ctx.modulus, 2) != ctx and ctx != (2, 4, ctx.modulus, 1)
+    assert {ctx: 1}[twin] == 1
+    assert repr(ctx) == "FieldCtx(p=2, n=4, modulus=PrimePoly(2, t^4+t^3+1), f=1)"
+    with pytest.raises(AttributeError):
+        ctx.p = 3
+    with pytest.raises(AttributeError):
+        del ctx.n
+    assert ctx.p == 2 and ctx.n == 4
 
 
 def test_prime_field_degenerate():
@@ -280,6 +297,28 @@ def test_degree_over_subfield():
     z = subfield_embed(F16.gen(), ctx)
     assert degree_over_subfield(z) == 4
     assert degree_over_subfield(ctx.gen()) == 12
+
+
+def degree_by_orbit(a, d):
+    """Reference: the length of the orbit of a under x -> x^(p^d), by **."""
+    cur, k = a ** a.ctx.p**d, 1
+    while cur != a:
+        cur, k = cur ** a.ctx.p**d, k + 1
+    return k
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (2, 30), (2, 64), (3, 8), (3, 36), (5, 6), (7, 4), (11, 1)])
+def test_degree_over_subfield_matches_orbit_walk(p, n):
+    # elements of every intermediate subfield, taken as trace images
+    ctx = make_ctx(p, n)
+    rng = Random(p * 100 + n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for d in divisors:
+        for e in (e for e in divisors if e % d == 0):
+            for _ in range(3):
+                a = trace(ctx.random_element(rng), e)
+                assert degree_over_subfield(a, d) == degree_by_orbit(a, d), (d, e, a)
+                assert (e // d) % degree_over_subfield(a, d) == 0
 
 
 def test_subfield_elements():
@@ -592,8 +631,9 @@ def test_kernel_extreme_coefficients(pn):
 @pytest.mark.parametrize("pn", sorted(KERNEL_FIELDS))
 def test_kernel_frobenius_matrices_match_primepoly(pn):
     # column i of power j is t^(i p^j) mod g, here the p-th power of the
-    # same column of power j - 1 by PrimePoly.pow_mod; F^2 = F F, where
-    # F^2 is built on its own, not as a product
+    # same column of power j - 1 by PrimePoly.pow_mod; a power that is
+    # the sum of two cached ones is built as their product, so this
+    # checks that route as well as the direct one
     ctx = make_ctx(*pn)
     p, n, g = ctx.p, ctx.n, ctx.modulus
     reference = [PrimePoly.x(p, i) % g for i in range(n)]
@@ -609,6 +649,17 @@ def test_kernel_frobenius_matrices_match_primepoly(pn):
     b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
     product = fields._mat_mul(packed(ctx, a), packed(ctx, b), fields._kernel(ctx))
     assert dense(ctx, product) == schoolbook_mat_mul(a, b, p)
+
+
+def test_frobenius_powers_from_cached_products():
+    # a power that is the sum of two cached ones is their matrix product;
+    # each must equal the same power built directly in a fresh context
+    modulus = make_ctx(3, 40).modulus
+    ctx = fields.FieldCtx(3, 40, modulus)
+    for j in (1, 2, 4, 8, 16, 32, 3, 39, 0, 5):
+        cols = fields._frob_cols(ctx, j)
+        assert cols == fields._frob_cols(fields.FieldCtx(3, 40, modulus), j), j
+    assert sorted(ctx._cache["frob"]) == [0, 1, 2, 3, 4, 5, 8, 16, 32, 39]
 
 
 def test_frobenius_inverse_builds_one_power():

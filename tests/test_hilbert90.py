@@ -3,8 +3,11 @@ and the symmetry identity tying R(y,z) to R(z,y)."""
 
 from random import Random
 
+import math
+
 import pytest
 
+from as90 import fields
 from as90.errors import NoSuchDegree, TraceNotOne, TraceNotZero
 from as90.fields import (
     degree_over_subfield,
@@ -14,6 +17,7 @@ from as90.fields import (
     trace,
 )
 from as90.hilbert90 import (
+    _r_raw,
     find_trace_one,
     p_part,
     partial_trace_sequence,
@@ -119,6 +123,38 @@ def test_r_form_nontrivial_generator():
     y = frobenius(w, 2) - w  # trace-zero for the sigma^2 generator
     cert = r_form(y, find_trace_one(ctx).z, k=2)
     assert frobenius(cert.x, 2) - cert.x == y
+
+
+def r_by_steps(a, b, k):
+    """Reference: R(a, b) = sum_i (sum_{j<i} sigma^{jk} b) sigma^{ik} a in
+    m = n/f steps, two Frobenius applications and one product each."""
+    acc = partial = a.ctx.zero()
+    for _ in range(a.ctx.m):
+        acc = acc + partial * a
+        partial = partial + b
+        a, b = frobenius(a, k), frobenius(b, k)
+    return acc
+
+
+R_RAW_CASES = [
+    (p, f, m) for p in (2, 3, 5, 7) for f in (1, 2, 3) for m in (1, 2, 3, 4, 5, 8, 9, 16)
+    if p ** (f * m) <= fields.SCALE_LIMIT
+]
+
+
+@pytest.mark.parametrize("p, f, m", R_RAW_CASES)
+def test_r_raw_matches_step_loop(p, f, m):
+    # every generator sigma^k of the group, on random (a, b) and on
+    # trace-zero a with a trace-one witness b
+    ctx = make_ctx(p, f * m, f=f)
+    rng = Random(p * 10000 + f * 100 + m)
+    z = find_trace_one(ctx).z
+    for k in [k for k in range(1, m + 1) if math.gcd(k, m) == 1] + [-1]:
+        pairs = [(ctx.random_element(rng), ctx.random_element(rng)) for _ in range(2)]
+        w = ctx.random_element(rng)
+        pairs.append((frobenius(w, k) - w, z))
+        for a, b in pairs:
+            assert _r_raw(a, b, k) == r_by_steps(a, b, k), (k, a, b)
 
 
 # -- find_trace_one ---------------------------------------------------------

@@ -8,7 +8,9 @@ from as90.intfactor import factorint
 #: m -> factorint(m) as (prime, exponent) pairs in the order returned by
 #: the factorizer that trial-divided up to 10^6 before any primality
 #: test: the group orders of the poly-search benchmark, then primes and
-#: semiprimes near 2^64, some with a factor above the trial limit.
+#: semiprimes near 2^64, some with a factor above the trial limit, then
+#: prime powers and products with factors just above 10^4, where trial
+#: division now stops and rho must split them.
 REFERENCE = {
     2**8 - 1: [(3, 1), (5, 1), (17, 1)],
     2**16 - 1: [(3, 1), (5, 1), (17, 1), (257, 1)],
@@ -31,6 +33,13 @@ REFERENCE = {
     1000003 * 18446688733531: [(18446688733531, 1), (1000003, 1)],
     2**64 - 59: [(2**64 - 59, 1)],
     2**63 - 25: [(2**63 - 25, 1)],
+    10007**2: [(10007, 2)],
+    10007**3: [(10007, 3)],
+    10007 * 10009 * 10037: [(10007, 1), (10009, 1), (10037, 1)],
+    999983 * 1000003: [(999983, 1), (1000003, 1)],
+    10007 * 1000003 * 1000033: [(10007, 1), (1000003, 1), (1000033, 1)],
+    10007**2 * 4294967291: [(10007, 2), (4294967291, 1)],
+    3 * 65537 * 6700417: [(3, 1), (65537, 1), (6700417, 1)],
 }
 
 

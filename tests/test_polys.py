@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from as90.errors import DivisionByZero, FactorizationTooHard, NotPrime
+from as90.errors import DivisionByZero, FactorizationTooHard, NotPrime, OrderTooLarge
 from as90.polys import (
     PrimePoly,
     default_modulus,
@@ -71,6 +71,20 @@ def test_parse_coeff_form():
     assert f.to_coeff_string() == "p:2;coeffs:1,1,0,1"
     # round trip
     assert PrimePoly.parse(f.to_coeff_string()) == f
+
+
+def test_parse_degree_bound():
+    # the degree is that of the terms nonzero mod p; that no list as long
+    # as a huge degree is built is checked by CLI children with a capped
+    # address space in test_cli.py
+    assert PrimePoly.parse("t^8+t^4+t^3+t+1", 2, max_degree=8).degree == 8
+    assert PrimePoly.parse("2t^100000+t+1", 2, max_degree=8) == P("t+1")
+    assert PrimePoly.parse("p:3;coeffs:1,2,0,3", max_degree=2) == P("2t+1", 3)
+    for text in ("t^9+1", "t^100000", "p:2;coeffs:1,0,0,0,0,0,0,0,0,1"):
+        with pytest.raises(OrderTooLarge):
+            PrimePoly.parse(text, 2, max_degree=8)
+    with pytest.raises(NotPrime):
+        PrimePoly.parse("p:4;coeffs:1,1")
 
 
 def test_str_edge_cases():
