@@ -16,9 +16,12 @@ where a closed form is available:
 * characteristic 2: precomputed reference witnesses keyed by the
   2-part of the degree.
 
-Every constructor ends in R(y, z), which re-verifies its output, and
-an exhaustive search is kept around as an independent oracle at small
-sizes.
+A constructor is only its preconditions and its witness: z depends on
+the field, not on y, so it is built once per field context, and each
+later call costs a trace check and one R(y, z), which re-verifies its
+output.  A constructor whose preconditions fail raises NotApplicable,
+and the dispatcher tries the next one.  An exhaustive search is kept
+around as an independent oracle at small sizes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     BadOrder,
     FieldTooLarge,
     NoRoot,
+    NotApplicable,
     UnsupportedTwoPart,
     WrongCongruence,
     WrongNpCase,
@@ -42,6 +46,7 @@ from .fields import (
     FieldElem,
     _frob_cols,
     _matrix_rows,
+    discrete_log,
     frobenius,
     make_ctx,
     subfield_elements,
@@ -119,27 +124,6 @@ def has_root(inst: ArtinSchreierInstance) -> bool:
     return trace(inst.y, inst.ctx.f).is_zero()
 
 
-def _require_root(inst: ArtinSchreierInstance):
-    if not has_root(inst):
-        raise NoRoot(
-            "y has nonzero trace onto the designated subfield; "
-            f"{inst.polynomial_str()} has no root in {inst.ctx.describe()}"
-        )
-
-
-def _root_set(inst, z, method, notes) -> RootSet:
-    """The roots based at R(y, z) for the trace-one witness z; r_form
-    checks sigma(x) - x = y and raises RuntimeError otherwise."""
-    return RootSet(
-        ctx=inst.ctx,
-        base_root=r_form(inst.y, z).x,
-        q=inst.ctx.q,
-        method=method,
-        verified=True,
-        notes=notes,
-    )
-
-
 def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMIT) -> list[FieldElem]:
     """Exhaustive search of the field for roots of t^q - t - y.
 
@@ -188,31 +172,72 @@ def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMI
     return roots
 
 
+def _constructor(method: str):
+    """Make ``witness(ctx, ...) -> (z, notes)`` the root constructor
+    ``name(inst, ...)`` of the same name and docstring.
+
+    ``witness`` raises a NotApplicable error when the field fails its
+    preconditions and otherwise returns a trace-one z and the notes to
+    report with it.  Both depend on the field alone, so the pair is
+    built once per context, kept in ``ctx._cache["witness"]`` under the
+    method and the further arguments (r for prime_r), and each call
+    only checks the trace criterion and evaluates R(y, z).
+    """
+    def wrap(witness):
+        def root(inst: ArtinSchreierInstance, *args, **kwargs) -> RootSet:
+            ctx, key = inst.ctx, (method, *args, *kwargs.values())
+            built = ctx._cache.setdefault("witness", {})
+            if key not in built:
+                built[key] = witness(ctx, *args, **kwargs)
+            return _root_set(inst, method, *built[key])
+
+        root.__name__ = root.__qualname__ = witness.__name__
+        root.__doc__ = witness.__doc__
+        return root
+    return wrap
+
+
+def _root_set(inst, method, z, notes) -> RootSet:
+    """The roots based at R(y, z) for the trace-one witness z, with a
+    copy of ``notes``.  Raises NoRoot when y fails the trace criterion;
+    r_form checks sigma(x) - x = y and raises RuntimeError otherwise."""
+    ctx = inst.ctx
+    if not has_root(inst):
+        raise NoRoot(
+            "y has nonzero trace onto the designated subfield; "
+            f"{inst.polynomial_str()} has no root in {ctx.describe()}"
+        )
+    return RootSet(ctx, r_form(inst.y, z).x, ctx.q, method, True, dict(notes))
+
+
+@_constructor("general")
+def _default_general(ctx: FieldCtx):
+    """The general constructor with the deterministic witness."""
+    return _general_witness(find_trace_one(ctx))
+
+
+def _general_witness(witness: TraceOneWitness):
+    return witness.z, {"witness_e": witness.e, "witness_provenance": witness.provenance}
+
+
 def root_general(inst: ArtinSchreierInstance, witness: TraceOneWitness | None = None) -> RootSet:
     """Root via R(y, z) for an arbitrary trace-one witness."""
-    _require_root(inst)
     if witness is None:
-        witness = find_trace_one(inst.ctx)
-    return _root_set(
-        inst,
-        witness.z,
-        "general",
-        {"witness_e": witness.e, "witness_provenance": witness.provenance},
-    )
+        return _default_general(inst)
+    return _root_set(inst, "general", *_general_witness(witness))
 
 
-def root_coprime(inst: ArtinSchreierInstance) -> RootSet:
+@_constructor("coprime")
+def root_coprime(ctx: FieldCtx):
     """Extension degree coprime to p: z = 1/m with m = n/f, so the root
     is sum_i (i/m) y^{q^i} with prime-field coefficients."""
-    ctx = inst.ctx
     if ctx.m % ctx.p == 0:
         raise WrongNpCase(
             f"extension degree {ctx.m} is divisible by p={ctx.p}; "
             "the scalar-witness form needs them coprime"
         )
-    _require_root(inst)
     z = ctx.elem(pow(ctx.m % ctx.p, -1, ctx.p))
-    return _root_set(inst, z, "coprime", {"z": str(z)})
+    return z, {"z": str(z)}
 
 
 def find_zeta(p: int) -> FieldElem:
@@ -230,23 +255,23 @@ def find_zeta(p: int) -> FieldElem:
     return zeta
 
 
-def root_np_p(inst: ArtinSchreierInstance) -> RootSet:
+@_constructor("np_p")
+def root_np_p(ctx: FieldCtx):
     """p exactly divides n (and q = p): z = (n/p)^{-1} zeta with zeta
     the canonical trace-one element of GF(p^p)."""
-    ctx = inst.ctx
     if ctx.f != 1:
         raise WrongNpCase("this constructor works over the prime subfield (f = 1)")
     if p_part(ctx.n, ctx.p) != ctx.p:
         raise WrongNpCase(
             f"p-part of {ctx.n} is {p_part(ctx.n, ctx.p)}, need exactly {ctx.p}"
         )
-    _require_root(inst)
     zeta = subfield_embed(find_zeta(ctx.p), ctx)
     scalar = pow((ctx.n // ctx.p) % ctx.p, -1, ctx.p)
-    return _root_set(inst, zeta * scalar, "np_p", {"zeta_degree": ctx.p})
+    return zeta * scalar, {"zeta_degree": ctx.p}
 
 
-def root_via_prime_r(inst: ArtinSchreierInstance, r: int) -> RootSet:
+@_constructor("prime_r")
+def root_via_prime_r(ctx: FieldCtx, r: int):
     """Root built from a primitive r-th root of unity, r prime.
 
     Let e = ord_r(p).  Requires e | n and p coprime to n/e.  A root zeta
@@ -254,7 +279,6 @@ def root_via_prime_r(inst: ArtinSchreierInstance, r: int) -> RootSet:
     degree e and nonzero trace tau, and z = (n tau / e)^{-1} zeta is a
     trace-one witness whose partial sums repeat with period e*p.
     """
-    ctx = inst.ctx
     p, n = ctx.p, ctx.n
     if ctx.f != 1:
         raise BadOrder("this constructor works over the prime subfield (f = 1)")
@@ -277,19 +301,16 @@ def root_via_prime_r(inst: ArtinSchreierInstance, r: int) -> RootSet:
         raise RuntimeError(f"the root of {g} has trace {tau_elem}, not a nonzero scalar")
     if e % p_part(n, p) != 0:
         raise RuntimeError(f"the p-part of n = {n} does not divide the witness degree {e}")
-    _require_root(inst)
     scalar = pow((n // e) * tau % p, -1, p)
     z = subfield_embed(zeta, ctx) * scalar
     terms = partial_trace_terms(z, 2 * e * p)
     if sequence_period(terms, e * p) != e * p:
         raise RuntimeError(f"the partial sums of the witness do not have period {e * p}")
-    return _root_set(
-        inst, z, "prime_r",
-        {"r": r, "e": e, "tau": tau, "zeta_min_poly": str(g)},
-    )
+    return z, {"r": r, "e": e, "tau": tau, "zeta_min_poly": str(g)}
 
 
-def root_p2mod3(inst: ArtinSchreierInstance) -> RootSet:
+@_constructor("p2mod3")
+def root_p2mod3(ctx: FieldCtx):
     """p = 2 mod 3, n even, p coprime to n/2: coefficients from a cube
     root of unity.
 
@@ -300,7 +321,6 @@ def root_p2mod3(inst: ArtinSchreierInstance) -> RootSet:
     coefficients s (floor(i/2) - r_i w), and trace(z) = (n/2) s = 1:
     x is R(y, z), in the sign the source material states.
     """
-    ctx = inst.ctx
     p, n = ctx.p, ctx.n
     if ctx.f != 1:
         raise WrongCongruence("this constructor works over the prime subfield (f = 1)")
@@ -310,12 +330,9 @@ def root_p2mod3(inst: ArtinSchreierInstance) -> RootSet:
         raise WrongCongruence(f"needs even degree, got n = {n}")
     if (n // 2) % p == 0:
         raise WrongCongruence(f"needs n/2 = {n // 2} coprime to p = {p}")
-    _require_root(inst)
     omega = subfield_embed(make_ctx(p, 2, modulus=PrimePoly(p, (1, 1, 1))).gen(), ctx)
     z = -omega * pow((n // 2) % p, -1, p)
-    return _root_set(
-        inst, z, "p2mod3", {"sign_variant": "statement", "omega": str(omega)}
-    )
+    return z, {"sign_variant": "statement", "omega": str(omega)}
 
 
 @lru_cache(maxsize=None)
@@ -332,10 +349,7 @@ def table_exponent_sequence(n_2: int) -> tuple:
     logs, so any drift in the table data or the log machinery trips
     immediately.
     """
-    ctx = _table_ctx(n_2)
-    z = ctx.gen()
-    from .fields import discrete_log  # local to keep module load light
-
+    z = _table_ctx(n_2).gen()
     terms = partial_trace_terms(z, 2 * n_2)
     out = []
     for x in terms:
@@ -346,7 +360,8 @@ def table_exponent_sequence(n_2: int) -> tuple:
     return tuple(out)
 
 
-def root_char2_table(inst: ArtinSchreierInstance) -> RootSet:
+@_constructor("table")
+def root_char2_table(ctx: FieldCtx):
     """Characteristic 2 over the prime subfield: reference witnesses.
 
     The 2-part of n selects a precomputed z (a big primitive root with
@@ -354,30 +369,20 @@ def root_char2_table(inst: ArtinSchreierInstance) -> RootSet:
     2-part is odd.  Reference partial-sum exponent data is re-checked
     once per process for the two-parts that have it.
     """
-    ctx = inst.ctx
     if ctx.p != 2 or ctx.f != 1:
         raise UnsupportedTwoPart("the reference-table path needs p = 2 and q = 2")
     n_2 = p_part(ctx.n, 2)
     if n_2 == 1:
-        _require_root(inst)
-        rs = root_coprime(inst)
-        rs.method = "table"
-        rs.notes["n_2"] = 1
-        return rs
+        return ctx.one(), {"z": "1", "n_2": 1}  # the coprime witness 1/n, n odd
     if n_2 not in TABLE_ROWS:
         raise UnsupportedTwoPart(
             f"no reference witness for two-part {n_2}; available: "
             f"{sorted(TABLE_ROWS)}"
         )
-    _require_root(inst)
     if n_2 in KNOWN_EXPONENTS:
         table_exponent_sequence(n_2)  # checks reference data, cached
-    sub = _table_ctx(n_2)
-    z = subfield_embed(sub.gen(), ctx)
-    return _root_set(
-        inst, z, "table",
-        {"n_2": n_2, "z_min_poly": str(TABLE_ROWS[n_2][1])},
-    )
+    z = subfield_embed(_table_ctx(n_2).gen(), ctx)
+    return z, {"n_2": n_2, "z_min_poly": str(TABLE_ROWS[n_2][1])}
 
 
 def factor_artin_schreier(inst: ArtinSchreierInstance):
@@ -391,31 +396,17 @@ def factor_artin_schreier(inst: ArtinSchreierInstance):
 
     Constructor preference: coprime degree, then the characteristic-2
     reference table, then the cube-root form, then the p-part-p form,
-    then the general witness.
+    then the general witness.  A constructor whose preconditions fail
+    raises NotApplicable and the next one is tried.
     """
-    ctx = inst.ctx
     if not has_root(inst):
-        if ctx.q == ctx.p:
-            return IrreducibilityReport(
-                ctx=ctx, y=inst.y, status="irreducible",
-                conclusion="irreducible",
-            )
-        return IrreducibilityReport(
-            ctx=ctx, y=inst.y, status="undetermined",
-            conclusion="no root; irreducibility undetermined",
-        )
-    p = ctx.p
-    if ctx.m % p != 0:
-        return root_coprime(inst)
-    if p == 2 and ctx.f == 1 and p_part(ctx.n, 2) in TABLE_ROWS:
-        return root_char2_table(inst)
-    if (
-        ctx.f == 1
-        and p % 3 == 2
-        and ctx.n % 2 == 0
-        and (ctx.n // 2) % p != 0
-    ):
-        return root_p2mod3(inst)
-    if ctx.f == 1 and p_part(ctx.n, p) == p:
-        return root_np_p(inst)
+        if inst.ctx.q == inst.ctx.p:
+            return IrreducibilityReport(inst.ctx, inst.y, "irreducible", "irreducible")
+        return IrreducibilityReport(inst.ctx, inst.y, "undetermined",
+                                    "no root; irreducibility undetermined")
+    for constructor in (root_coprime, root_char2_table, root_p2mod3, root_np_p):
+        try:
+            return constructor(inst)
+        except NotApplicable:
+            pass
     return root_general(inst)

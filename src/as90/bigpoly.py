@@ -15,7 +15,7 @@ from __future__ import annotations
 from random import Random
 
 from ._record import Record
-from .errors import EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
+from .errors import BadInput, EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
 from .intfactor import factorint
 from .periodicity import sequence_period
 from .polys import (
@@ -111,7 +111,7 @@ def cyclotomic(m: int, p: int) -> PrimePoly:
     through the lower cyclotomics.  Cross-check constructor; the prime
     case has the direct all-ones form."""
     if m < 1:
-        raise ValueError("cyclotomic index must be positive")
+        raise BadInput("cyclotomic index must be positive")
     num = PrimePoly(p, (-1,) + (0,) * (m - 1) + (1,))
     if m == 1:
         return num
@@ -152,7 +152,7 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     if a.is_zero() or b.is_zero():
         raise ZeroPolynomial("tensor products need nonzero polynomials")
     if a.p != b.p:
-        raise ValueError("mixed characteristics")
+        raise BadInput("mixed characteristics")
     p = a.p
     m, n = a.degree, b.degree
     if m * n > TENSOR_DEGREE_LIMIT:
@@ -243,7 +243,9 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
     examined.
     """
     if e < 1:
-        raise ValueError("degree must be positive")
+        raise BadInput("degree must be positive")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     group = p**e - 1
     factors = factorint(group)  # may raise FactorizationTooHard
     seen = 0
@@ -303,7 +305,7 @@ def verify_table_entry(n_2: int, candidate: PrimePoly | None = None) -> TableChe
     if candidate is None:
         candidate = TABLE_ROWS[n_2][1]
     if candidate.p != 2:
-        raise ValueError("table rows live over F_2")
+        raise BadInput("table rows live over F_2")
     checks: dict[str, bool] = {}
     checks["degree"] = candidate.degree == n_2
     checks["irreducible"] = is_irreducible(candidate)

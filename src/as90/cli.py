@@ -138,9 +138,7 @@ def cmd_root(args) -> int:
             "table": root_char2_table,
             "p2mod3": root_p2mod3,
             "np_p": root_np_p,
-            "general": lambda i: root_general(
-                i, find_trace_one(ctx, seed=args.seed)
-            ),
+            "general": root_general,
         }[args.method]
         result = fn(inst)
 

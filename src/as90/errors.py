@@ -5,6 +5,10 @@ class As90Error(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class BadInput(As90Error, ValueError):
+    """An argument outside the range or syntax a function accepts."""
+
+
 class NotPrime(As90Error):
     pass
 
@@ -77,19 +81,23 @@ class NoRoot(As90Error):
     pass
 
 
-class WrongNpCase(As90Error):
+class NotApplicable(As90Error):
+    """A root constructor's precondition fails for this field."""
+
+
+class WrongNpCase(NotApplicable):
     pass
 
 
-class WrongCongruence(As90Error):
+class WrongCongruence(NotApplicable):
     pass
 
 
-class BadOrder(As90Error):
+class BadOrder(NotApplicable):
     pass
 
 
-class UnsupportedTwoPart(As90Error):
+class UnsupportedTwoPart(NotApplicable):
     pass
 
 

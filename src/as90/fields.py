@@ -33,6 +33,7 @@ from random import Random
 
 from ._record import Record
 from .errors import (
+    BadInput,
     BadSubfieldStep,
     CtxMismatch,
     DivisionByZero,
@@ -151,7 +152,7 @@ def _make_ctx_cached(p, n, modulus, f):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
-        raise ValueError("extension degree must be at least 1")
+        raise BadInput("extension degree must be at least 1")
     if p**n > SCALE_LIMIT:
         raise FieldTooLarge(f"{p}^{n} exceeds the supported scale 2^64")
     if f < 1 or n % f != 0:

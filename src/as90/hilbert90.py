@@ -18,6 +18,7 @@ from random import Random
 
 from ._record import Record
 from .errors import (
+    BadInput,
     CtxMismatch,
     NoSuchDegree,
     RandomRetriesExhausted,
@@ -86,7 +87,7 @@ class RootCertificate(Record):
 
 def _check_generator(ctx: FieldCtx, k: int):
     if math.gcd(k, ctx.m) != 1:
-        raise ValueError(f"sigma^{k} does not generate the Galois group of order {ctx.m}")
+        raise BadInput(f"sigma^{k} does not generate the Galois group of order {ctx.m}")
 
 
 def find_trace_one(
@@ -158,25 +159,17 @@ def find_trace_one(
     return TraceOneWitness(z=z, e=target, provenance=provenance)
 
 
-def partial_trace_sequence(
-    z: FieldElem,
-    ctx: FieldCtx | None = None,
-    length: int | None = None,
-    k: int = 1,
-) -> PartialTraceSeq:
+def partial_trace_sequence(z: FieldElem, length: int | None = None, k: int = 1) -> PartialTraceSeq:
     """Partial sums x_i = sum_{j<i} sigma^{jk}(z), packaged with their
     measured period when enough terms are stored (2*p*e suffices)."""
-    if ctx is None:
-        ctx = z.ctx
-    elif z.ctx != ctx:
-        raise CtxMismatch("z does not live in the given context")
+    ctx = z.ctx
     _check_generator(ctx, k)
     e = degree_over_subfield(z, ctx.f)
     bound = ctx.p * e
     if length is None:
         length = 2 * bound
     if length < 1:
-        raise ValueError("need at least one term")
+        raise BadInput("need at least one term")
     terms = partial_trace_terms(z, length, k)
     period = sequence_period(terms, bound) if length >= 2 * bound else None
     return PartialTraceSeq(terms=terms, p=ctx.p, e=e, period=period)
@@ -214,17 +207,14 @@ def _join(first, second, step):
     return a1 + x1 * y2 + a2, x1 + x2, y1 + y2
 
 
-def r_form(y: FieldElem, z: FieldElem, ctx: FieldCtx | None = None, k: int = 1) -> RootCertificate:
+def r_form(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
     """Solve sigma^k(x) - x = y explicitly using the witness z.
 
     Preconditions: trace(y) = 0 and trace(z) = 1 over the designated
     subfield.  The returned certificate has been re-verified, so
     ``checked`` is only ever True.
     """
-    if ctx is None:
-        ctx = y.ctx
-    elif y.ctx != ctx:
-        raise CtxMismatch("y does not live in the given context")
+    ctx = y.ctx
     if z.ctx != ctx:
         raise CtxMismatch("y and z live in different contexts")
     _check_generator(ctx, k)
@@ -238,15 +228,14 @@ def r_form(y: FieldElem, z: FieldElem, ctx: FieldCtx | None = None, k: int = 1) 
     return RootCertificate(y=y, z=z, x=x, k=k, checked=True)
 
 
-def r_symmetry_defect(y: FieldElem, z: FieldElem, ctx: FieldCtx | None = None, k: int = 1) -> FieldElem:
+def r_symmetry_defect(y: FieldElem, z: FieldElem, k: int = 1) -> FieldElem:
     """R(y,z) + R(z,y) + trace(y*z), which the antisymmetry law makes 0.
 
     Both cocycle orientations are re-checked along the way:
     sigma R(y,z) - R(y,z) = y and R(z,y) - sigma R(z,y) = y.
     """
-    if ctx is None:
-        ctx = y.ctx
-    if y.ctx != ctx or z.ctx != ctx:
+    ctx = y.ctx
+    if z.ctx != ctx:
         raise CtxMismatch("y and z must share the context")
     _check_generator(ctx, k)
     if not trace(y, ctx.f).is_zero():

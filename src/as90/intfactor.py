@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import FactorizationTooHard
+from .errors import BadInput, FactorizationTooHard
 from .polys import is_prime
 
 _TRIAL_LIMIT = 10**4
@@ -27,7 +27,7 @@ _FACTOR_BOUND = 2**64
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n (n_p in multiplicative notation)."""
     if n < 1:
-        raise ValueError("p_part needs a positive integer")
+        raise BadInput("p_part needs a positive integer")
     out = 1
     while n % p == 0:
         out *= p
@@ -56,7 +56,7 @@ def factorint(m: int) -> dict[int, int]:
     """Prime factorization of m >= 1 as {prime: exponent}; m above 2^64
     raises FactorizationTooHard."""
     if m < 1:
-        raise ValueError("factorint needs a positive integer")
+        raise BadInput("factorint needs a positive integer")
     if m > _FACTOR_BOUND:
         raise FactorizationTooHard(
             f"{m} exceeds the factorization ceiling {_FACTOR_BOUND}"

@@ -11,8 +11,8 @@ wrap-arounds) on live field data.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import NoPeriodWithinBound, TraceNotOne
-from .fields import FieldCtx, FieldElem, degree_over_subfield, frobenius, trace
+from .errors import BadInput, NoPeriodWithinBound, TraceNotOne
+from .fields import FieldElem, degree_over_subfield, frobenius, trace
 from .intfactor import p_part
 
 
@@ -72,9 +72,9 @@ def sequence_period(seq, bound: int) -> int:
     The linear fallback covers sequences with no such guarantee.
     """
     if bound < 1:
-        raise ValueError("period bound must be positive")
+        raise BadInput("period bound must be positive")
     if len(seq) < 2 * bound:
-        raise ValueError(
+        raise BadInput(
             f"need at least {2 * bound} terms to certify a period bound of {bound}"
         )
     for d in _divisors(bound):
@@ -97,7 +97,7 @@ def partial_trace_terms(z: FieldElem, length: int, k: int = 1) -> list[FieldElem
     return terms
 
 
-def verify_period_theorem(z: FieldElem, ctx: FieldCtx | None = None) -> PeriodReport:
+def verify_period_theorem(z: FieldElem) -> PeriodReport:
     """Measure the period of the partial-trace sequence of z and compare
     with the predicted value p*e.
 
@@ -106,8 +106,7 @@ def verify_period_theorem(z: FieldElem, ctx: FieldCtx | None = None) -> PeriodRe
     degree (which must divide e), the measured period, and whether all
     interior terms x_l (0 < l < p*e) are nonzero.
     """
-    if ctx is None:
-        ctx = z.ctx
+    ctx = z.ctx
     if trace(z, ctx.f) != 1:
         raise TraceNotOne("the partial-trace period statement needs trace(z) = 1")
     p = ctx.p

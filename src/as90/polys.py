@@ -14,6 +14,7 @@ import re
 from random import Random
 
 from .errors import (
+    BadInput,
     DivisionByZero,
     FactorizationTooHard,
     NotPrime,
@@ -164,16 +165,19 @@ class PrimePoly:
         the degree is built, so t^(10^9) costs no more than t."""
         text = text.strip()
         if text.startswith("p:"):
-            head, _, tail = text.partition(";")
-            pp = int(head[2:])
+            head, sep, body = text.partition(";coeffs:")
+            try:
+                pp = int(head[2:])
+                coeffs = [int(c) for c in body.split(",")] if body.strip() else []
+            except ValueError:
+                pp = None
+            if pp is None or not sep:
+                raise BadInput(f"bad coefficient form: {text!r}")
             if p is not None and p != pp:
-                raise ValueError(f"coefficient form says p={pp}, caller says p={p}")
-            if not tail.startswith("coeffs:"):
-                raise ValueError(f"bad coefficient form: {text!r}")
-            body = tail[len("coeffs:"):].strip()
-            return pp, dict(enumerate(int(c) for c in body.split(","))) if body else {}
+                raise BadInput(f"coefficient form says p={pp}, caller says p={p}")
+            return pp, dict(enumerate(coeffs))
         if p is None:
-            raise ValueError("human polynomial form needs an explicit p")
+            raise BadInput("human polynomial form needs an explicit p")
         text = text.replace(" ", "").replace("−", "-")
         if text in ("0", ""):
             return p, {}
@@ -194,7 +198,7 @@ class PrimePoly:
             elif term.isdigit():
                 c, k = int(term), 0
             else:
-                raise ValueError(f"cannot parse term {term!r}")
+                raise BadInput(f"cannot parse term {term!r}")
             coeffs[k] = coeffs.get(k, 0) + sign * c
         return p, coeffs
 
@@ -225,7 +229,7 @@ class PrimePoly:
 
     def _check(self, other: "PrimePoly"):
         if self.p != other.p:
-            raise ValueError(f"mixed characteristics {self.p} and {other.p}")
+            raise BadInput(f"mixed characteristics {self.p} and {other.p}")
 
     def __add__(self, other: "PrimePoly") -> "PrimePoly":
         self._check(other)
@@ -304,7 +308,7 @@ class PrimePoly:
     def pow_mod(self, e: int, mod: "PrimePoly") -> "PrimePoly":
         """self**e reduced mod ``mod``; e may be arbitrarily large."""
         if e < 0:
-            raise ValueError("negative exponent")
+            raise BadInput("negative exponent")
         result = PrimePoly._of(self.p, (1,)) % mod
         base = self % mod
         while e:

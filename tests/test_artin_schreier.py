@@ -24,17 +24,20 @@ from as90.artin_schreier import (
     root_via_prime_r,
     table_exponent_sequence,
 )
+from as90 import artin_schreier, hilbert90
 from as90.bigpoly import TABLE_ROWS
 from as90.errors import (
     BadOrder,
     FieldTooLarge,
     NoRoot,
+    NotApplicable,
     UnsupportedTwoPart,
     WrongCongruence,
     WrongNpCase,
 )
 from as90.fields import frobenius, make_ctx, subfield_elements, trace
 from as90.hilbert90 import find_trace_one
+from as90.intfactor import p_part
 from as90.periodicity import partial_trace_terms, sequence_period
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -591,3 +594,119 @@ def test_instance_coerces_y():
     assert it.polynomial_str() == "t^3-t-(2)"
     rel = make_ctx(3, 2, f=2)
     assert inst(rel, 0).polynomial_str().startswith("t^9-t-")
+
+
+# -- one witness per context, dispatch by precondition ----------------------------------
+
+def _chain_reference(ctx):
+    """The condition chain factor_artin_schreier once spelled out by
+    hand, kept here as the reference the dispatcher must agree with."""
+    p = ctx.p
+    if ctx.m % p != 0:
+        return root_coprime
+    if p == 2 and ctx.f == 1 and p_part(ctx.n, 2) in TABLE_ROWS:
+        return root_char2_table
+    if ctx.f == 1 and p % 3 == 2 and ctx.n % 2 == 0 and (ctx.n // 2) % p != 0:
+        return root_p2mod3
+    if ctx.f == 1 and p_part(ctx.n, p) == p:
+        return root_np_p
+    return root_general
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_dispatch_matches_condition_chain(p):
+    rng = Random(p)
+    for n in range(1, 17):
+        for f in (d for d in range(1, n + 1) if n % d == 0):
+            ctx = make_ctx(p, n, f=f)
+            y = trace_zero_sample(ctx, rng)
+            want = _chain_reference(ctx)(inst(ctx, y))
+            got = factor_artin_schreier(inst(ctx, y))
+            assert (got.method, got.base_root, got.notes) == (
+                want.method, want.base_root, want.notes), (p, n, f)
+
+
+# (constructor, extra arguments, context failing its precondition, error)
+_PRECONDITION_FAILURES = [
+    (root_coprime, (), (2, 4, 1), WrongNpCase),
+    (root_char2_table, (), (2, 64, 1), UnsupportedTwoPart),
+    (root_char2_table, (), (3, 3, 1), UnsupportedTwoPart),
+    (root_p2mod3, (), (3, 2, 1), WrongCongruence),
+    (root_p2mod3, (), (2, 4, 1), WrongCongruence),
+    (root_np_p, (), (2, 4, 1), WrongNpCase),
+    (root_np_p, (), (3, 6, 2), WrongNpCase),
+    (root_via_prime_r, (7,), (2, 4, 1), BadOrder),
+    (root_via_prime_r, (3,), (2, 4, 2), BadOrder),
+]
+
+
+@pytest.mark.parametrize("ctor, args, field, error", _PRECONDITION_FAILURES)
+def test_precondition_error_comes_before_no_root(ctor, args, field, error):
+    p, n, f = field
+    ctx = make_ctx(p, n, f=f)
+    y = next(y for y in ctx.elements_lex() if not has_root(inst(ctx, y)))
+    with pytest.raises(error):
+        ctor(inst(ctx, y), *args)
+
+
+def test_precondition_errors_are_not_applicable():
+    for _, _, _, error in _PRECONDITION_FAILURES:
+        assert issubclass(error, NotApplicable)
+    assert not issubclass(NoRoot, NotApplicable)
+
+
+def _count_calls(monkeypatch, calls, names):
+    """Record in ``calls`` each call of the named functions made through
+    the namespaces of artin_schreier and hilbert90."""
+    for mod in (artin_schreier, hilbert90):
+        for name in names:
+            def counted(*args, _original=getattr(mod, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+
+
+@pytest.mark.parametrize("field, ctor, args", [
+    ((2, 12, 1), root_general, ()),
+    ((3, 12, 2), root_general, ()),
+    ((2, 12, 1), root_char2_table, ()),
+    ((7, 14, 1), root_np_p, ()),
+    ((5, 4, 1), root_p2mod3, ()),
+    ((2, 15, 1), root_via_prime_r, (7,)),
+    ((5, 10, 1), factor_artin_schreier, ()),
+    ((3, 9, 1), factor_artin_schreier, ()),
+])
+def test_second_query_builds_no_witness(monkeypatch, field, ctor, args):
+    p, n, f = field
+    ctx = make_ctx(p, n, f=f)
+    rng = Random(n)
+    first, second = (trace_zero_sample(ctx, rng) for _ in range(2))
+    ctor(inst(ctx, first), *args)
+    calls = []
+    _count_calls(monkeypatch, calls, ("find_trace_one", "subfield_embed"))
+    rs = ctor(inst(ctx, second), *args)
+    assert frobenius(rs.base_root, 1) - rs.base_root == second
+    assert calls == []
+
+
+def test_results_do_not_share_notes():
+    rng = Random(60)
+    for p, n, f in [(2, 3, 1), (2, 12, 1), (3, 9, 1), (7, 14, 1), (5, 4, 1)]:
+        ctx = make_ctx(p, n, f=f)
+        first = factor_artin_schreier(inst(ctx, trace_zero_sample(ctx, rng)))
+        kept = dict(first.notes)
+        first.notes["scribbled"] = True
+        first.notes.clear()
+        second = factor_artin_schreier(inst(ctx, trace_zero_sample(ctx, rng)))
+        assert second.notes == kept, (p, n, f)
+    ctx = make_ctx(2, 3)
+    first = root_char2_table(inst(ctx, 0))
+    first.notes["n_2"] = 99
+    assert root_char2_table(inst(ctx, 0)).notes["n_2"] == 1
+
+
+def test_prime_r_takes_r_by_keyword():
+    ctx = make_ctx(2, 6)
+    y = trace_zero_sample(ctx, Random(61))
+    assert root_via_prime_r(inst(ctx, y), r=3) == root_via_prime_r(inst(ctx, y), 3)

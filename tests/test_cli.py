@@ -496,3 +496,30 @@ def test_huge_polynomial_text_is_domain_error(argv):
     # the degree is read off the text before any coefficient list is built
     proc = run_process(*argv, timeout=60, address_space=2**30)
     assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("root", "--p", "2", "--n", "8", "--modulus", "garbage", "--y", "1"),
+    ("tensor", "--p", "2", "--a", "x+1", "--b", "t"),
+    ("root", "--p", "2", "--n", "8", "--modulus", "p:3;coeffs:1,1", "--y", "1"),
+    ("root", "--p", "2", "--n", "2", "--modulus", "p:2;coeffs:1,a", "--y", "1"),
+    ("root", "--p", "2", "--n", "0", "--y", "1"),
+    ("bigsearch", "--e", "0"),
+    ("bigsearch", "--e", "3", "--p", "1"),
+])
+def test_bad_input_is_domain_error(argv):
+    proc = run_process(*argv, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stdout == ""
+
+
+def test_general_method_ignores_seed(capsys):
+    outs = []
+    for seed in ("0", "5"):
+        for fmt in ((), ("--json",)):
+            code, out, _ = run(capsys, "root", "--p", "3", "--n", "12", "--f", "2",
+                               "--y", "t^9-t", "--method", "general", "--seed", seed, *fmt)
+            assert code == 0
+            outs.append(out.replace(f"seed: {seed}", "seed: S")
+                        .replace(f'"seed": {seed}', '"seed": S'))
+    assert outs[:2] == outs[2:]
