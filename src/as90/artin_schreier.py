@@ -37,6 +37,7 @@ from .errors import (
     FieldTooLarge,
     NoRoot,
     NotApplicable,
+    TraceNotOne,
     UnsupportedTwoPart,
     WrongCongruence,
     WrongNpCase,
@@ -53,7 +54,7 @@ from .fields import (
     subfield_embed,
     trace,
 )
-from .hilbert90 import TraceOneWitness, find_trace_one, r_form
+from .hilbert90 import TraceOneWitness, _certified, find_trace_one, r_form
 from .intfactor import p_part
 from .periodicity import partial_trace_terms, sequence_period
 from .polys import PrimePoly, _count_vectors
@@ -172,24 +173,29 @@ def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMI
     return roots
 
 
+#: The witness builder of each root constructor, by method name.
+_WITNESSES: dict = {}
+
+
 def _constructor(method: str):
     """Make ``witness(ctx, ...) -> (z, notes)`` the root constructor
     ``name(inst, ...)`` of the same name and docstring.
 
     ``witness`` raises a NotApplicable error when the field fails its
     preconditions and otherwise returns a trace-one z and the notes to
-    report with it.  Both depend on the field alone, so the pair is
-    built once per context, kept in ``ctx._cache["witness"]`` under the
-    method and the further arguments (r for prime_r), and each call
-    only checks the trace criterion and evaluates R(y, z).
+    report with it.  Both depend on the field alone, so ``_witness``
+    builds them once per context; each call then only checks the trace
+    criterion and evaluates R(y, z).
     """
     def wrap(witness):
+        _WITNESSES[method] = witness
+
         def root(inst: ArtinSchreierInstance, *args, **kwargs) -> RootSet:
-            ctx, key = inst.ctx, (method, *args, *kwargs.values())
-            built = ctx._cache.setdefault("witness", {})
-            if key not in built:
-                built[key] = witness(ctx, *args, **kwargs)
-            return _root_set(inst, method, *built[key])
+            got = _witness(inst.ctx, method, *args, **kwargs)
+            if isinstance(got, NotApplicable):
+                raise got.with_traceback(None)
+            _require_root(inst)
+            return _root_set(inst, method, *got)
 
         root.__name__ = root.__qualname__ = witness.__name__
         root.__doc__ = witness.__doc__
@@ -197,17 +203,40 @@ def _constructor(method: str):
     return wrap
 
 
-def _root_set(inst, method, z, notes) -> RootSet:
-    """The roots based at R(y, z) for the trace-one witness z, with a
-    copy of ``notes``.  Raises NoRoot when y fails the trace criterion;
-    r_form checks sigma(x) - x = y and raises RuntimeError otherwise."""
-    ctx = inst.ctx
+def _witness(ctx: FieldCtx, method: str, *args, **kwargs):
+    """The (z, notes) of a constructor for ctx, kept in
+    ``ctx._cache["witness"]`` under the method and the further arguments
+    (r for prime_r).  The trace of z is checked once, when it is built.
+    When the preconditions fail, the NotApplicable error the build raised
+    is kept and returned in its place, so they are evaluated once."""
+    built = ctx._cache.setdefault("witness", {})
+    key = (method, *args, *kwargs.values())
+    got = built.get(key)
+    if got is None:
+        try:
+            z, notes = _WITNESSES[method](ctx, *args, **kwargs)
+        except NotApplicable as exc:
+            got = built[key] = exc.with_traceback(None)
+        else:
+            if trace(z, ctx.f) != 1:
+                raise TraceNotOne(f"the {method} witness {z} does not have trace 1")
+            got = built[key] = (z, notes)
+    return got
+
+
+def _require_root(inst: ArtinSchreierInstance) -> None:
+    """Raise NoRoot when y fails the trace criterion."""
     if not has_root(inst):
         raise NoRoot(
             "y has nonzero trace onto the designated subfield; "
-            f"{inst.polynomial_str()} has no root in {ctx.describe()}"
+            f"{inst.polynomial_str()} has no root in {inst.ctx.describe()}"
         )
-    return RootSet(ctx, r_form(inst.y, z).x, ctx.q, method, True, dict(notes))
+
+
+def _root_set(inst, method, z, notes) -> RootSet:
+    """The roots based at R(y, z), with a copy of ``notes``, for y and z
+    whose traces are checked; the root is verified by sigma(x) - x = y."""
+    return RootSet(inst.ctx, _certified(inst.y, z).x, inst.ctx.q, method, True, dict(notes))
 
 
 @_constructor("general")
@@ -224,7 +253,9 @@ def root_general(inst: ArtinSchreierInstance, witness: TraceOneWitness | None = 
     """Root via R(y, z) for an arbitrary trace-one witness."""
     if witness is None:
         return _default_general(inst)
-    return _root_set(inst, "general", *_general_witness(witness))
+    _require_root(inst)
+    z, notes = _general_witness(witness)
+    return RootSet(inst.ctx, r_form(inst.y, z).x, inst.ctx.q, "general", True, notes)
 
 
 @_constructor("coprime")
@@ -404,9 +435,7 @@ def factor_artin_schreier(inst: ArtinSchreierInstance):
             return IrreducibilityReport(inst.ctx, inst.y, "irreducible", "irreducible")
         return IrreducibilityReport(inst.ctx, inst.y, "undetermined",
                                     "no root; irreducibility undetermined")
-    for constructor in (root_coprime, root_char2_table, root_p2mod3, root_np_p):
-        try:
-            return constructor(inst)
-        except NotApplicable:
-            pass
-    return root_general(inst)
+    for method in ("coprime", "table", "p2mod3", "np_p", "general"):
+        got = _witness(inst.ctx, method)
+        if not isinstance(got, NotApplicable):
+            return _root_set(inst, method, *got)

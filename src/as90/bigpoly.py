@@ -159,7 +159,7 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
         raise OrderTooLarge(f"tensor product degree {m * n} is above {TENSOR_DEGREE_LIMIT}")
     scale = pow(a.leading(), n, p) * pow(b.leading(), m, p) % p
     if m == 0 or n == 0:
-        return PrimePoly(p, (scale,))
+        return PrimePoly._of(p, (scale,))
     ca = _companion(a.monic())
     cb = _companion(b.monic())
     kron = [
@@ -206,24 +206,24 @@ def _charpoly(mat, p: int) -> PrimePoly:
                     h[i][j] = (h[i][j] - fac * h[k + 1][j]) % p
                 for r in range(n):
                     h[r][k + 1] = (h[r][k + 1] + fac * h[r][i]) % p
-    t = PrimePoly.x(p)
-    charpolys = [PrimePoly.one(p)]
+    t = PrimePoly._of(p, (0, 1))
+    charpolys = [PrimePoly._of(p, (1,))]
     for m in range(1, n + 1):
-        cur = (t - PrimePoly(p, (h[m - 1][m - 1],))) * charpolys[m - 1]
+        cur = (t - PrimePoly._of(p, (h[m - 1][m - 1],))) * charpolys[m - 1]
         sub = 1
         for i in range(1, m):
             sub = sub * h[m - i][m - i - 1] % p
             coef = h[m - 1 - i][m - 1] * sub % p
             if coef:
-                cur = cur - PrimePoly(p, (coef,)) * charpolys[m - 1 - i]
+                cur = cur - charpolys[m - 1 - i] * coef
         charpolys.append(cur)
     return charpolys[n]
 
 
 def _order_of_t_is(f: PrimePoly, target: int, factors: dict[int, int]) -> bool:
     """Does t have multiplicative order exactly ``target`` mod f?"""
-    x = PrimePoly.x(f.p)
-    one = PrimePoly.one(f.p)
+    x = PrimePoly._of(f.p, (0, 1))
+    one = PrimePoly._of(f.p, (1,))
     if x.pow_mod(target, f) != one:
         return False
     for ell in factors:
@@ -254,7 +254,7 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
             seen += 1
             if seen > budget:
                 break
-            f = PrimePoly(p, (c0, 1))
+            f = PrimePoly._of(p, (c0, 1))
             if _order_of_t_is(f, group, factors):
                 return f
         raise NotFound(f"no big primitive of degree 1 over F_{p} within budget")
@@ -268,7 +268,7 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
                     raise NotFound(
                         f"budget of {budget} candidates exhausted for degree {e} over F_{p}"
                     )
-                f = PrimePoly(p, (c0,) + mid + (sub, 1))
+                f = PrimePoly._of(p, (c0,) + mid + (sub, 1))
                 if not is_irreducible(f):
                     continue
                 if _order_of_t_is(f, group, factors):
@@ -315,16 +315,16 @@ def verify_table_entry(n_2: int, candidate: PrimePoly | None = None) -> TableChe
         checks["order"] = _order_of_t_is(candidate, group, factorint(group))
     else:
         checks["order"] = False
-    x = PrimePoly.x(2)
+    x = PrimePoly._of(2, (0, 1))
     if checks["degree"]:
         # partial sums of the root, still in the quotient ring; the trace
         # of t is the sum of its first n_2 conjugates
-        terms = [PrimePoly.zero(2)]
+        terms = [PrimePoly._of(2, ())]
         w = x % candidate
         for _ in range(4 * n_2 - 1):
             terms.append(terms[-1] + w)
             w = w * w % candidate
-        checks["trace"] = terms[n_2] == PrimePoly.one(2)
+        checks["trace"] = terms[n_2] == PrimePoly._of(2, (1,))
         try:
             checks["period"] = sequence_period(terms, 2 * n_2) == 2 * n_2
         except Exception:

@@ -8,14 +8,12 @@ and the Hilbert-90 formulas refer to.  Contexts are immutable values;
 elements of distinct contexts never mix silently.
 
 Elements are tuples of n coefficients in range(p).  The arithmetic on
-them runs in packed F_p kernels (Kronecker substitution; von zur
-Gathen & Gerhard, Modern Computer Algebra, 8.4): a coefficient vector
-is packed into one Python int with a slot of w bytes per coefficient,
-w large enough that no sum of n products of residues overflows a slot.
-One big-int product of two packed elements is then the packed product
-polynomial, and ``int.to_bytes`` with a reduction mod p per slot
-unpacks it, so the inner loops run in C.  The top n - 1 coefficients
-are folded back with cached packed columns of t^(n+k) mod g.
+them runs on the packed F_p vectors of ``polys._packer``, the engine
+behind PrimePoly as well: with slots wide enough for n products of
+residues, one big-int product of two packed elements is the packed
+product polynomial, so the inner loops run in C.  The top n - 1
+coefficients are folded back with cached packed columns of
+t^(n+k) mod g.
 
 Frobenius maps, traces and subfield tests are F_p-linear, so each
 context lazily caches every map it uses in one form, its n packed
@@ -25,8 +23,6 @@ matrix-vector product, sum_c v_c * column_c.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache
 import operator
 from random import Random
@@ -46,7 +42,14 @@ from .errors import (
     ZeroElement,
 )
 from .intfactor import factorint
-from .polys import PrimePoly, _count_vectors, default_modulus, is_irreducible, is_prime
+from .polys import (
+    PrimePoly,
+    _count_vectors,
+    _packer,
+    default_modulus,
+    is_irreducible,
+    is_prime,
+)
 
 SCALE_LIMIT = 2**64
 _BSGS_PRIME_LIMIT = 2**32
@@ -189,53 +192,6 @@ def make_ctx(p: int, n: int, modulus=None, f: int = 1) -> FieldCtx:
 
 
 # -- packed F_p kernels -------------------------------------------------------
-
-_ORDER = sys.byteorder
-_ARRAY_CODE = {w: next(c for c in "HILQ" if array(c).itemsize == w) for w in (2, 4, 8)}
-
-
-def _packer(p: int, n: int):
-    """Slot width and (pack, unpack) for F_p vectors in degree n.
-
-    A slot of w bytes holds n (p-1)^2, the largest sum of n products of
-    residues, so products, matrix-vector products and the reduction
-    never carry out of a slot.  w is 1, 2, 4 or 8 bytes (the native
-    array widths), or the exact byte count above that, where slots are
-    moved by shifts.  ``pack`` takes a sequence of ints in range(256^w);
-    ``unpack(x, k)`` returns the k slots of x reduced mod p, as bytes
-    when w = 1 and a list otherwise.
-    """
-    w = ((n * (p - 1) ** 2).bit_length() + 7) // 8
-    w = next((k for k in (1, 2, 4, 8) if w <= k), w)
-    if w == 1:
-        table = bytes(i % p for i in range(256))
-
-        def pack(cs):
-            return int.from_bytes(bytes(cs), _ORDER)
-
-        def unpack(x, k):
-            return x.to_bytes(k, _ORDER).translate(table)
-    elif w <= 8:
-        code = _ARRAY_CODE[w]
-
-        def pack(cs):
-            return int.from_bytes(array(code, cs).tobytes(), _ORDER)
-
-        def unpack(x, k):
-            return [c % p for c in memoryview(x.to_bytes(k * w, _ORDER)).cast(code)]
-    else:
-        bits = 8 * w
-        mask = (1 << bits) - 1
-
-        def pack(cs):
-            x = 0
-            for c in reversed(cs):
-                x = x << bits | c
-            return x
-
-        def unpack(x, k):
-            return [(x >> s & mask) % p for s in range(0, k * bits, bits)]
-    return w, pack, unpack
 
 
 class _Kernel:

@@ -222,6 +222,12 @@ def r_form(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
         raise TraceNotZero("y has nonzero trace, so it is not a sigma-difference")
     if trace(z, ctx.f) != 1:
         raise TraceNotOne("witness z must have trace 1")
+    return _certified(y, z, k)
+
+
+def _certified(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
+    """r_form(y, z, k) for a caller that has already checked its
+    preconditions; the root is still verified by sigma^k(x) - x = y."""
     x = _r_raw(y, z, k)
     if frobenius(x, k) - x != y:
         raise RuntimeError("cocycle identity failed; arithmetic is broken")

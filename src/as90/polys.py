@@ -1,16 +1,40 @@
 """Dense polynomials over a prime field F_p.
 
 Coefficients are stored low degree first as a tuple of ints in
-``range(p)``.  Instances are immutable and hashable, so they can key
-caches and serve as field moduli.  Two text formats are supported:
+``range(p)`` with no trailing zero.  Instances are immutable and
+hashable, so they can key caches and serve as field moduli.  Two text
+formats are supported:
 
 * human form, highest degree first: ``t^4+t^3+1`` or ``2t^3+t+2``;
 * coefficient form, low degree first: ``p:2;coeffs:1,0,0,1,1``.
+
+Products and divisions run on packed coefficient vectors (Kronecker
+substitution; von zur Gathen & Gerhard, Modern Computer Algebra, 8.4),
+the one engine that the field kernels of ``fields`` use as well.
+``_packer`` puts coefficient i in slot i of one Python int, each slot
+w bytes wide, and w is chosen so that no slot can carry into the next:
+
+* a product a b is one big-int product of the packed a and b.  A slot
+  then sums at most min(len a, len b) products of residues, so it must
+  hold min(len a, len b) (p-1)^2.
+* a division a = q b + r, with dq = deg a - deg b and db = deg b, is long
+  division on one packed remainder.  Step k reads slot k + db mod p,
+  takes the quotient coefficient c from it and adds (p - c) b shifted by
+  k slots, which clears that slot mod p.  A slot starts below p and takes
+  at most min(dq, db) + 1 such terms, each at most (p-1)^2, so it must
+  hold p - 1 + (min(dq, db) + 1) (p-1)^2.  The low db slots, reduced
+  mod p, are then the remainder.
+
+Packing and unpacking go through ``int.from_bytes`` and ``int.to_bytes``,
+so the inner loops run in C.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
+from functools import lru_cache
 from random import Random
 
 from .errors import (
@@ -63,6 +87,68 @@ def is_prime(m: int) -> bool:
     return True
 
 
+# -- packed coefficient vectors ---------------------------------------------
+
+_ARRAY_CODE = {w: next(c for c in "HILQ" if array(c).itemsize == w) for w in (2, 4, 8)}
+#: Slot widths of 1 to 8 bytes rounded up to the native array widths.
+_NATIVE_WIDTH = (1, 1, 2, 4, 4, 8, 8, 8, 8)
+
+
+@lru_cache(maxsize=1024)
+def _packer(p: int, n: int):
+    """Slot width and (pack, unpack) for F_p vectors whose slots each sum
+    at most n products of residues.
+
+    A vector c_0, c_1, ... packs into the int sum_i c_i 256^(w i), slot i
+    holding c_i, and a slot of w bytes holds n (p-1)^2.  w is 1, 2, 4 or
+    8 bytes (the native array widths), or the exact byte count above
+    that.  ``pack`` takes a sequence of ints in range(256^w);
+    ``unpack(x, k)`` returns the k slots of x < 256^(w k) reduced mod p,
+    as bytes when w = 1 and a list otherwise.
+    """
+    w = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+    return _slots(p, _NATIVE_WIDTH[w] if w <= 8 else w)
+
+
+@lru_cache(maxsize=256)
+def _slots(p: int, w: int):
+    """The (w, pack, unpack) of ``_packer``, shared by every n that needs
+    w-byte slots.  Array items are native-endian, so a big-endian host
+    packs by byte strings instead."""
+    if w == 1:
+        table = bytes(i % p for i in range(256))
+
+        def pack(cs):
+            return int.from_bytes(bytes(cs), "little")
+
+        def unpack(x, k):
+            return x.to_bytes(k, "little").translate(table)
+    elif w <= 8 and sys.byteorder == "little":
+        code = _ARRAY_CODE[w]
+
+        def pack(cs):
+            return int.from_bytes(array(code, cs).tobytes(), "little")
+
+        def unpack(x, k):
+            return [c % p for c in memoryview(x.to_bytes(k * w, "little")).cast(code)]
+    else:
+        def pack(cs):
+            return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+
+        def unpack(x, k):
+            raw = x.to_bytes(k * w, "little")
+            return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, k * w, w)]
+    return w, pack, unpack
+
+
+def _trimmed(cs) -> tuple:
+    """The ints of cs without its trailing zeros."""
+    k = len(cs)
+    while k and not cs[k - 1]:
+        k -= 1
+    return tuple(cs[:k])
+
+
 class PrimePoly:
     """A polynomial with coefficients in F_p."""
 
@@ -85,8 +171,8 @@ class PrimePoly:
         cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_p(self, p)
+        _set_coeffs(self, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimePoly is immutable")
@@ -251,36 +337,39 @@ class PrimePoly:
         if isinstance(other, int):
             return PrimePoly._of(self.p, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return PrimePoly._of(self.p, ())
         a, b, p = self.coeffs, other.coeffs, self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return PrimePoly._of(p, out)
+        if not a or not b:
+            return _poly(p, ())
+        # a slot sums at most min(len a, len b) products; over a field the
+        # leading coefficient of the product is nonzero, so nothing to trim
+        _, pack, unpack = _packer(p, min(len(a), len(b)))
+        return _poly(p, tuple(unpack(pack(a) * pack(b), len(a) + len(b) - 1)))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "PrimePoly"):
         self._check(other)
-        if other.is_zero():
+        a, b, p = self.coeffs, other.coeffs, self.p
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        db, dq = len(b) - 1, len(a) - len(b)
         if dq < 0:
-            return PrimePoly._of(p, ()), self
-        inv_lead = pow(other.coeffs[-1], -1, p)
+            return _poly(p, ()), self
+        # packed long division (see the module docstring): a slot holds at
+        # most p - 1 + (min(dq, db) + 1) (p-1)^2 <= (min(dq, db) + 2) (p-1)^2
+        w, pack, unpack = _packer(p, min(dq, db) + 2)
+        bits = 8 * w
+        mask = (1 << bits) - 1
+        inv_lead = pow(b[-1], -1, p)
+        rem, div = pack(a), pack(b)
         quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead % p
+            c = (rem >> (k + db) * bits & mask) * inv_lead % p
             if c:
                 quo[k] = c
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] = (rem[k + i] - c * oc) % p
-        return PrimePoly._of(p, quo), PrimePoly._of(p, rem[: other.degree])
+                rem += (p - c) * div << k * bits
+        low = unpack(rem & (1 << db * bits) - 1, db)
+        return _poly(p, tuple(quo)), _poly(p, _trimmed(low))
 
     def __floordiv__(self, other: "PrimePoly") -> "PrimePoly":
         return divmod(self, other)[0]
@@ -319,6 +408,18 @@ class PrimePoly:
         return result
 
 
+_set_p, _set_coeffs = PrimePoly.p.__set__, PrimePoly.coeffs.__set__
+
+
+def _poly(p: int, coeffs: tuple) -> PrimePoly:
+    """PrimePoly._of(p, coeffs) for a tuple of ints already in range(p)
+    and without trailing zeros, taken as it is."""
+    f = object.__new__(PrimePoly)
+    _set_p(f, p)
+    _set_coeffs(f, coeffs)
+    return f
+
+
 def gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     """Monic greatest common divisor."""
     while not b.is_zero():
@@ -355,7 +456,10 @@ def is_irreducible(f: PrimePoly) -> bool:
     return next(distinct_degree_split(f.monic()))[1] == f.degree
 
 
+#: The default moduli found so far, oldest first; past
+#: DEFAULT_MODULUS_CACHE_LIMIT entries the oldest is dropped.
 _DEFAULT_MODULUS_CACHE: dict[tuple[int, int], PrimePoly] = {}
+DEFAULT_MODULUS_CACHE_LIMIT = 128
 
 
 def default_modulus(p: int, n: int) -> PrimePoly:
@@ -386,6 +490,8 @@ def default_modulus(p: int, n: int) -> PrimePoly:
         if found is None:  # not reachable: irreducibles exist in every degree
             raise RuntimeError(f"no irreducible of degree {n} over F_{p}")
     _DEFAULT_MODULUS_CACHE[key] = found
+    if len(_DEFAULT_MODULUS_CACHE) > DEFAULT_MODULUS_CACHE_LIMIT:
+        del _DEFAULT_MODULUS_CACHE[next(iter(_DEFAULT_MODULUS_CACHE))]
     return found
 
 

@@ -710,3 +710,63 @@ def test_prime_r_takes_r_by_keyword():
     ctx = make_ctx(2, 6)
     y = trace_zero_sample(ctx, Random(61))
     assert root_via_prime_r(inst(ctx, y), r=3) == root_via_prime_r(inst(ctx, y), 3)
+
+
+@pytest.mark.parametrize("field, ctor, args", [
+    ((2, 64, 1), factor_artin_schreier, ()),
+    ((2, 12, 1), factor_artin_schreier, ()),
+    ((5, 10, 1), factor_artin_schreier, ()),
+    ((7, 14, 1), factor_artin_schreier, ()),
+    ((3, 12, 2), factor_artin_schreier, ()),
+    ((2, 64, 1), root_general, ()),
+    ((2, 12, 1), root_char2_table, ()),
+    ((5, 4, 1), root_p2mod3, ()),
+    ((2, 15, 1), root_via_prime_r, (7,)),
+])
+def test_warm_query_takes_one_trace(monkeypatch, field, ctor, args):
+    # the trace criterion is checked once per query, and the cached
+    # witness's trace is not checked again
+    p, n, f = field
+    ctx = make_ctx(p, n, f=f)
+    rng = Random(n * p)
+    first, second = (trace_zero_sample(ctx, rng) for _ in range(2))
+    ctor(inst(ctx, first), *args)
+    calls = []
+    _count_calls(monkeypatch, calls, ("trace", "p_part"))
+    rs = ctor(inst(ctx, second), *args)
+    assert frobenius(rs.base_root, 1) - rs.base_root == second
+    assert calls == ["trace"]
+
+
+def test_skipped_constructor_keeps_its_not_applicable():
+    ctx = make_ctx(2, 64)
+    rng = Random(64)
+    factor_artin_schreier(inst(ctx, trace_zero_sample(ctx, rng)))
+    cached = ctx._cache["witness"]
+    y = inst(ctx, trace_zero_sample(ctx, rng))
+    raised = []
+    for _ in range(5):
+        with pytest.raises(WrongNpCase) as info:
+            root_coprime(y)
+        raised.append(info.value)
+    assert all(exc is cached[("coprime",)] for exc in raised)
+    assert str(raised[0]) == ("extension degree 64 is divisible by p=2; "
+                              "the scalar-witness form needs them coprime")
+    # re-raising does not pile up tracebacks in the cache
+    depth = 0
+    tb = raised[-1].__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    assert depth <= 3
+    for key, error in [(("table",), UnsupportedTwoPart), (("p2mod3",), WrongCongruence),
+                       (("np_p",), WrongNpCase)]:
+        assert isinstance(cached[key], error), key
+
+
+def test_public_constructor_still_refuses_nonzero_trace():
+    ctx = make_ctx(2, 64)
+    y = next(y for y in ctx.elements_lex() if not has_root(inst(ctx, y)))
+    for _ in range(2):
+        with pytest.raises(NoRoot):
+            root_general(inst(ctx, y))
+    assert isinstance(factor_artin_schreier(inst(ctx, y)), IrreducibilityReport)

@@ -1,6 +1,7 @@
 """Polynomial arithmetic over prime fields: parsing, division,
 irreducibility, factorization, and the default-modulus rule."""
 
+import operator
 from itertools import product
 from random import Random
 
@@ -331,3 +332,210 @@ def test_pow_mod():
     x = P("t")
     assert x.pow_mod(16, m) == x % m  # Frobenius fixed point: t^(2^4) = t
     assert x.pow_mod(15, m) == PrimePoly.one(2)  # order divides 15
+
+
+# -- differential tests: the packed engine against schoolbook arithmetic ----
+#
+# The reference below is the coefficient-by-coefficient arithmetic that
+# PrimePoly ran before its products and divisions were packed into big
+# ints.  It works on plain tuples, so it shares no code with the engine.
+
+DIFF_PRIMES = (2, 3, 5, 65521, 2**32 - 5, 2**61 - 1)
+
+
+def ref_trim(cs, p):
+    cs = [c % p for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return ref_trim(out, p)
+
+
+def ref_divmod(a, b, p):
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return (), tuple(a)
+    inv_lead = pow(b[-1], -1, p)
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + len(b) - 1] * inv_lead % p
+        if c:
+            quo[k] = c
+            for i, bc in enumerate(b):
+                rem[k + i] = (rem[k + i] - c * bc) % p
+    return ref_trim(quo, p), ref_trim(rem[: len(b) - 1], p)
+
+
+def ref_add(a, b, p):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n)], p)
+
+
+def ref_monic(a, p):
+    return ref_mul(a, (pow(a[-1], -1, p),), p) if a else a
+
+
+def ref_gcd(a, b, p):
+    while b:
+        a, b = b, ref_divmod(a, b, p)[1]
+    return ref_monic(a, p)
+
+
+def ref_pow_mod(a, e, m, p):
+    result, base = ref_divmod((1,), m, p)[1], ref_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = ref_divmod(ref_mul(result, base, p), m, p)[1]
+        base = ref_divmod(ref_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+def assert_invariants(f, p):
+    """Coefficients are ints in range(p), with no trailing zero."""
+    assert type(f) is PrimePoly and f.p == p
+    assert type(f.coeffs) is tuple
+    assert all(type(c) is int and 0 <= c < p for c in f.coeffs)
+    assert not f.coeffs or f.coeffs[-1] != 0
+
+
+@st.composite
+def poly_pairs(draw, max_degree=300):
+    """(p, a, b): two polynomials over one of DIFF_PRIMES, each of degree
+    -1 (zero) to ``max_degree``.  Coefficients are uniform, extreme (0 or
+    p - 1, which fills the packed slots fastest) or all p - 1."""
+    p = draw(st.sampled_from(DIFF_PRIMES))
+    seed = draw(st.integers(0, 2**32))
+    rng = Random(seed)
+    out = []
+    for _ in range(2):
+        degree = draw(st.integers(-1, max_degree))
+        style = draw(st.sampled_from(("uniform", "extreme", "top")))
+        if style == "uniform":
+            cs = [rng.randrange(p) for _ in range(degree + 1)]
+        elif style == "extreme":
+            cs = [rng.choice((0, p - 1)) for _ in range(degree + 1)]
+        else:
+            cs = [p - 1] * (degree + 1)
+        if cs:
+            cs[-1] = cs[-1] or rng.randrange(1, p)
+        out.append(tuple(cs))
+    return p, out[0], out[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_mul_matches_schoolbook(case):
+    p, a, b = case
+    fa, fb = PrimePoly(p, a), PrimePoly(p, b)
+    for prod in (fa * fb, fb * fa):
+        assert_invariants(prod, p)
+        assert prod.coeffs == ref_mul(a, b, p)
+    k = a[0] if a else 0
+    for scaled in (fb * k, k * fb):
+        assert_invariants(scaled, p)
+        assert scaled.coeffs == ref_mul(b, (k,), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_divmod_matches_schoolbook(case):
+    p, a, b = case
+    fa, fb = PrimePoly(p, a), PrimePoly(p, b)
+    if not b:
+        for op in (divmod, operator.mod, operator.floordiv):
+            with pytest.raises(DivisionByZero):
+                op(fa, fb)
+        return
+    want_q, want_r = ref_divmod(a, b, p)
+    q, r = divmod(fa, fb)
+    for f in (q, r, fa // fb, fa % fb):
+        assert_invariants(f, p)
+    assert (q.coeffs, r.coeffs) == (want_q, want_r)
+    assert ((fa // fb).coeffs, (fa % fb).coeffs) == (want_q, want_r)
+
+
+def test_divmod_edge_cases():
+    for p in DIFF_PRIMES:
+        a = PrimePoly(p, (1, 2, 3))
+        long = PrimePoly(p, (p - 1,) * 6 + (2,))
+        # a divisor longer than the dividend leaves the dividend whole
+        assert divmod(a, long) == (PrimePoly.zero(p), a)
+        # a constant divisor leaves no remainder
+        q, r = divmod(long, PrimePoly(p, (p - 1,)))
+        assert r.is_zero() and q * PrimePoly(p, (p - 1,)) == long
+        # zero divided by anything nonzero
+        assert divmod(PrimePoly.zero(p), a) == (PrimePoly.zero(p), PrimePoly.zero(p))
+        with pytest.raises(DivisionByZero):
+            a.pow_mod(3, PrimePoly.zero(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs())
+def test_gcd_xgcd_match_schoolbook(case):
+    p, a, b = case
+    fa, fb = PrimePoly(p, a), PrimePoly(p, b)
+    g = gcd(fa, fb)
+    assert_invariants(g, p)
+    assert g.coeffs == ref_gcd(a, b, p)
+    g2, s, t = xgcd(fa, fb)
+    for f in (g2, s, t):
+        assert_invariants(f, p)
+    assert g2 == g
+    # Bezout, checked with the reference arithmetic
+    assert ref_add(ref_mul(s.coeffs, a, p), ref_mul(t.coeffs, b, p), p) == g.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs(max_degree=24),
+       st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 2**16),
+                 st.integers(2**200 - 2**20, 2**200 + 2**20)))
+def test_pow_mod_matches_schoolbook(case, e):
+    p, a, m = case
+    if not m:
+        return
+    got = PrimePoly(p, a).pow_mod(e, PrimePoly(p, m))
+    assert_invariants(got, p)
+    assert got.coeffs == ref_pow_mod(a, e, m, p)
+
+
+@pytest.mark.parametrize("p, degree", [(2, 255), (2, 256), (2, 300), (3, 300),
+                                       (2**61 - 1, 300)])
+def test_packed_slot_boundaries(p, degree):
+    # over F_2, 256 or more summed products no longer fit a 1-byte slot;
+    # at p = 2^61 - 1 a slot is wider than 8 bytes
+    top = PrimePoly(p, (p - 1,) * (degree + 1))
+    square = ref_mul(top.coeffs, top.coeffs, p)
+    assert (top * top).coeffs == square
+    dividend = PrimePoly(p, square + (p - 1,))
+    quo, rem = divmod(dividend, top)
+    assert (quo.coeffs, rem.coeffs) == ref_divmod(dividend.coeffs, top.coeffs, p)
+
+
+def test_default_modulus_cache_is_bounded(monkeypatch):
+    # a long-lived process asking for many sizes keeps only the newest
+    from as90 import polys
+
+    monkeypatch.setattr(polys, "_DEFAULT_MODULUS_CACHE", {})
+    limit = polys.DEFAULT_MODULUS_CACHE_LIMIT
+    primes = [m for m in range(2, 10**4) if is_prime(m)][: limit + 5]
+    for p in primes:
+        assert default_modulus(p, 1) == PrimePoly.x(p)
+        assert len(polys._DEFAULT_MODULUS_CACHE) <= limit
+    assert list(polys._DEFAULT_MODULUS_CACHE) == [(p, 1) for p in primes[-limit:]]
+    # an evicted size is searched again and gives the same answer
+    assert default_modulus(2, 8) == P("t^8+t^7+t^5+t^4+1")
+    assert (2, 8) in polys._DEFAULT_MODULUS_CACHE
+    assert (primes[0], 1) not in polys._DEFAULT_MODULUS_CACHE
