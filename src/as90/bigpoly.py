@@ -20,7 +20,10 @@ from .intfactor import factorint
 from .periodicity import sequence_period
 from .polys import (
     PrimePoly,
+    _Reducer,
     _count_vectors,
+    _packer,
+    _trimmed,
     equal_degree_split,
     is_irreducible,
     is_prime,
@@ -206,30 +209,33 @@ def _charpoly(mat, p: int) -> PrimePoly:
                     h[i][j] = (h[i][j] - fac * h[k + 1][j]) % p
                 for r in range(n):
                     h[r][k + 1] = (h[r][k + 1] + fac * h[r][i]) % p
-    t = PrimePoly._of(p, (0, 1))
-    charpolys = [PrimePoly._of(p, (1,))]
+    # the recurrence charpoly_m = (t - h_mm) charpoly_(m-1) - sum_i c_i
+    # charpoly_(m-1-i) on packed coefficient vectors: a slot of row m sums
+    # its shifted predecessor and at most m products of residues, and
+    # each row is reduced mod p once
+    w, pack, unpack = _packer(p, n + 1)
+    bits = 8 * w
+    charpolys = [1]
     for m in range(1, n + 1):
-        cur = (t - PrimePoly._of(p, (h[m - 1][m - 1],))) * charpolys[m - 1]
+        prev = charpolys[m - 1]
+        cur = (prev << bits) + -h[m - 1][m - 1] % p * prev
         sub = 1
         for i in range(1, m):
             sub = sub * h[m - i][m - i - 1] % p
             coef = h[m - 1 - i][m - 1] * sub % p
             if coef:
-                cur = cur - charpolys[m - 1 - i] * coef
-        charpolys.append(cur)
-    return charpolys[n]
+                cur += (p - coef) * charpolys[m - 1 - i]
+        charpolys.append(pack(unpack(cur, m + 1)))
+    return PrimePoly._of(p, unpack(charpolys[n], n + 1))
 
 
 def _order_of_t_is(f: PrimePoly, target: int, factors: dict[int, int]) -> bool:
     """Does t have multiplicative order exactly ``target`` mod f?"""
-    x = PrimePoly._of(f.p, (0, 1))
-    one = PrimePoly._of(f.p, (1,))
-    if x.pow_mod(target, f) != one:
+    red = _Reducer(f)
+    x = (PrimePoly._of(f.p, (0, 1)) % f).coeffs
+    if _trimmed(red.pow(x, target)) != (1,):
         return False
-    for ell in factors:
-        if x.pow_mod(target // ell, f) == one:
-            return False
-    return True
+    return all(_trimmed(red.pow(x, target // ell)) != (1,) for ell in factors)
 
 
 def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
@@ -315,16 +321,17 @@ def verify_table_entry(n_2: int, candidate: PrimePoly | None = None) -> TableChe
         checks["order"] = _order_of_t_is(candidate, group, factorint(group))
     else:
         checks["order"] = False
-    x = PrimePoly._of(2, (0, 1))
     if checks["degree"]:
-        # partial sums of the root, still in the quotient ring; the trace
-        # of t is the sum of its first n_2 conjugates
-        terms = [PrimePoly._of(2, ())]
-        w = x % candidate
+        # partial sums of the root, still in the quotient ring, as packed
+        # residues (over F_2 a sum is an XOR); the trace of t is the sum
+        # of its first n_2 conjugates
+        red = _Reducer(candidate)
+        terms = [0]
+        w = (PrimePoly._of(2, (0, 1)) % candidate).coeffs
         for _ in range(4 * n_2 - 1):
-            terms.append(terms[-1] + w)
-            w = w * w % candidate
-        checks["trace"] = terms[n_2] == PrimePoly._of(2, (1,))
+            terms.append(terms[-1] ^ red.pack(w))
+            w = red.mul(w, w)
+        checks["trace"] = terms[n_2] == 1
         try:
             checks["period"] = sequence_period(terms, 2 * n_2) == 2 * n_2
         except Exception:

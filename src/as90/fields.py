@@ -44,6 +44,7 @@ from .errors import (
 from .intfactor import factorint
 from .polys import (
     PrimePoly,
+    _Reducer,
     _count_vectors,
     _packer,
     default_modulus,
@@ -53,6 +54,13 @@ from .polys import (
 
 SCALE_LIMIT = 2**64
 _BSGS_PRIME_LIMIT = 2**32
+#: ``make_ctx`` keeps the CTX_CACHE_LIMIT most recently used contexts,
+#: and the embedding cache the newest EMBED_CACHE_LIMIT images (each key
+#: keeps two contexts alive).
+CTX_CACHE_LIMIT = 512
+EMBED_CACHE_LIMIT = 128
+#: How many bases per context ``discrete_log`` keeps the order of.
+ORDER_CACHE_LIMIT = 16
 
 
 class FieldCtx(Record):
@@ -150,7 +158,7 @@ class FieldCtx(Record):
             yield FieldElem(self, v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CTX_CACHE_LIMIT)
 def _make_ctx_cached(p, n, modulus, f):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -181,8 +189,9 @@ def make_ctx(p: int, n: int, modulus=None, f: int = 1) -> FieldCtx:
     Without an explicit modulus the lexicographically smallest monic
     irreducible of degree n is used (coefficients compared low degree
     first), so equal parameters always name the same field.  Equal
-    parameters also return the same context object, letting the cached
-    Frobenius matrices be shared.
+    parameters also return the same context object while it is among the
+    CTX_CACHE_LIMIT most recently used, letting the cached Frobenius
+    matrices be shared.
     """
     if isinstance(modulus, str):
         modulus = PrimePoly.parse(modulus, p, max_degree=n)
@@ -595,6 +604,23 @@ def _bsgs(ctx: FieldCtx, gamma: FieldElem, h: FieldElem, ell: int) -> int:
     raise NotInSubgroup("no discrete log in the cyclic group generated by base")
 
 
+def _order_of_base(base: FieldElem, factors: dict[int, int] | None):
+    """The order m of base and the sorted prime powers of m.  Without
+    caller-given factors they are kept in the context, for the newest
+    ORDER_CACHE_LIMIT bases."""
+    if factors is not None:
+        m = element_order(base, factors)
+        return m, sorted(factorint(m).items())
+    cache = base.ctx._cache.setdefault("order", {})
+    hit = cache.get(base.coeffs)
+    if hit is None:
+        m = element_order(base)
+        hit = cache[base.coeffs] = (m, sorted(factorint(m).items()))
+        if len(cache) > ORDER_CACHE_LIMIT:
+            del cache[next(iter(cache))]
+    return hit
+
+
 def discrete_log(base: FieldElem, target: FieldElem,
                  factors: dict[int, int] | None = None) -> int:
     """Exact discrete log: the least x >= 0 with base^x = target.
@@ -607,11 +633,11 @@ def discrete_log(base: FieldElem, target: FieldElem,
     if base.is_zero() or target.is_zero():
         raise ZeroElement("discrete logs live in the multiplicative group")
     ctx = base.ctx
-    m = element_order(base, factors)
+    m, m_factors = _order_of_base(base, factors)
     if target**m != 1:
         raise NotInSubgroup("target is not a power of base")
     residues = []
-    for prime, exp in sorted(factorint(m).items()):
+    for prime, exp in m_factors:
         pe = prime**exp
         gamma = base ** (m // prime)
         x_pe = 0
@@ -703,6 +729,8 @@ def _fp_powmod(base, e: int, mod, ctx: FieldCtx):
 # -- subfield embeddings ------------------------------------------------------
 
 
+#: Embedding images by (source, target) context, oldest first; past
+#: EMBED_CACHE_LIMIT entries the oldest is dropped.
 _EMBED_CACHE: dict[tuple[FieldCtx, FieldCtx], FieldElem] = {}
 
 
@@ -722,10 +750,11 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
     """
     p, n, d = ctx.p, ctx.n, g.degree
     kern, frob = _kernel(ctx), _frob_cols(ctx, 1)
-    conj = [PrimePoly.x(p)]
+    red = _Reducer(g)
+    conj = [(PrimePoly.x(p) % g).coeffs]
     for _ in range(d - 1):
-        conj.append(conj[-1].pow_mod(p, g))
-    conj_rows = list(zip(*(c.coeffs + (0,) * (d - len(c.coeffs)) for c in conj)))
+        conj.append(red.pow(conj[-1], p))
+    conj_rows = list(zip(*(tuple(c) + (0,) * (d - len(c)) for c in conj)))
     rng = Random(0xE17)
     h = [ctx.elem(c) for c in g.coeffs]
     guard = 0
@@ -760,7 +789,8 @@ def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
     and the smallest conjugate is kept.
     """
     key = (src, dst)
-    if key not in _EMBED_CACHE:
+    theta = _EMBED_CACHE.get(key)
+    if theta is None:
         if src.n == dst.n and src.modulus == dst.modulus:
             theta = dst.gen()
         else:
@@ -778,7 +808,9 @@ def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
             if not value.is_zero():
                 raise RuntimeError(f"embedding image is not a root of {g}")
         _EMBED_CACHE[key] = theta
-    return _EMBED_CACHE[key]
+        if len(_EMBED_CACHE) > EMBED_CACHE_LIMIT:
+            del _EMBED_CACHE[next(iter(_EMBED_CACHE))]
+    return theta
 
 
 def subfield_embed(a: FieldElem, target: FieldCtx) -> FieldElem:

@@ -24,9 +24,24 @@ w bytes wide, and w is chosen so that no slot can carry into the next:
   at most min(dq, db) + 1 such terms, each at most (p-1)^2, so it must
   hold p - 1 + (min(dq, db) + 1) (p-1)^2.  The low db slots, reduced
   mod p, are then the remainder.
+* a sum a + k b, k in range(p), is one packed sum.  A slot holds at most
+  p - 1 + (p-1)^2, which fits any slot wide enough for one product.
 
 Packing and unpacking go through ``int.from_bytes`` and ``int.to_bytes``,
-so the inner loops run in C.
+so the inner loops run in C; over F_2 the residue of a slot is the parity
+of its lowest byte, so slots wider than a byte unpack in C as well.
+
+Loops that multiply again and again modulo one polynomial f of degree n
+(``pow_mod``, Ben-Or's Frobenius steps, the trace in equal-degree
+splitting, the order of t in ``bigpoly``) keep their residues as
+coefficient sequences and reduce on ``_Reducer``: Barrett division by a
+precomputed inverse of the reversed f (op. cit., 9.1), two packed
+products per reduction instead of one step per quotient coefficient.
+A product of two residues sums at most n products of residues per slot,
+its top k <= n - 1 coefficients times the inverse at most k, and the low
+n slots of the product plus the quotient times -f at most
+p - 1 + (n-1) (p-1)^2; so one packer for n products serves them all, and
+the Newton steps that build the inverse too.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ import re
 import sys
 from array import array
 from functools import lru_cache
+from math import isqrt
 from random import Random
 
 from .errors import (
@@ -102,9 +118,9 @@ def _packer(p: int, n: int):
     A vector c_0, c_1, ... packs into the int sum_i c_i 256^(w i), slot i
     holding c_i, and a slot of w bytes holds n (p-1)^2.  w is 1, 2, 4 or
     8 bytes (the native array widths), or the exact byte count above
-    that.  ``pack`` takes a sequence of ints in range(256^w);
+    that.  ``pack`` takes a sequence of residues (ints in range(p));
     ``unpack(x, k)`` returns the k slots of x < 256^(w k) reduced mod p,
-    as bytes when w = 1 and a list otherwise.
+    as bytes when w = 1 or p = 2 and a list otherwise.
     """
     w = ((n * (p - 1) ** 2).bit_length() + 7) // 8
     return _slots(p, _NATIVE_WIDTH[w] if w <= 8 else w)
@@ -123,6 +139,18 @@ def _slots(p: int, w: int):
 
         def unpack(x, k):
             return x.to_bytes(k, "little").translate(table)
+    elif p == 2:
+        # a residue is one byte, and the parity of a slot is that of its
+        # lowest byte
+        table = bytes(i % 2 for i in range(256))
+
+        def pack(cs):
+            raw = bytearray(len(cs) * w)
+            raw[::w] = bytes(cs)
+            return int.from_bytes(raw, "little")
+
+        def unpack(x, k):
+            return x.to_bytes(k * w, "little")[::w].translate(table)
     elif w <= 8 and sys.byteorder == "little":
         code = _ARRAY_CODE[w]
 
@@ -139,6 +167,82 @@ def _slots(p: int, w: int):
             raw = x.to_bytes(k * w, "little")
             return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, k * w, w)]
     return w, pack, unpack
+
+
+class _Reducer:
+    """Arithmetic mod one fixed nonzero f of degree n >= 1 over F_p, on
+    residues kept as coefficient sequences (tuples, lists or the bytes of
+    ``_packer``), each of length at most n with entries in range(p).
+
+    A product of residues has degree at most 2n - 2.  Its quotient by f
+    comes from ``inv``, the packed G = rev(f)^-1 mod t^(n-1), which Newton
+    iteration builds in O(log n) packed products (Barrett division; von
+    zur Gathen & Gerhard, Modern Computer Algebra, 9.1): for a product c
+    of length n + k, rev(q) = rev(c)_top * G mod t^k, rev(c)_top being its
+    top k coefficients read high degree first, and the remainder is the
+    low n slots of c - q f.  A reduction is two packed products and no
+    loop over coefficients.  G and the packed -f are built at the first
+    product that needs reducing, so a loop whose products all stay below
+    degree n never builds them.
+    """
+
+    __slots__ = ("p", "n", "f", "bits", "pack", "unpack", "inv", "neg_f")
+
+    def __init__(self, f: "PrimePoly"):
+        self.p, self.f, self.n = f.p, f.coeffs, f.degree
+        w, self.pack, self.unpack = _packer(f.p, f.degree)
+        self.bits = 8 * w
+        self.inv = None
+
+    def _series_inverse(self, h, k: int) -> list:
+        """The k coefficients of 1/h mod t^k, for h[0] != 0: Newton's
+        step g <- g (2 - h g) doubles the precision.  With h g = 1 + t^l e
+        mod t^(2l), it adds -t^l (g e mod t^l) to g."""
+        p, pack, unpack, bits = self.p, self.pack, self.unpack, self.bits
+        g = [pow(h[0], -1, p)]
+        while len(g) < k:
+            l = len(g)
+            l2 = min(2 * l, k)
+            e = unpack(pack(h[:l2]) * pack(g) >> l * bits & (1 << (l2 - l) * bits) - 1, l2 - l)
+            g += [-c % p for c in unpack(pack(g[: l2 - l]) * pack(e) & (1 << (l2 - l) * bits) - 1,
+                                          l2 - l)]
+        return g
+
+    def _reduce(self, c: int, length: int):
+        """The residue of the packed product c of the given length: every
+        slot of c holds at most n products of residues."""
+        n, unpack = self.n, self.unpack
+        cs = unpack(c, length)
+        k = length - n
+        if k <= 0:
+            return cs
+        pack, bits, inv = self.pack, self.bits, self.inv
+        if inv is None:
+            f, p = self.f, self.p
+            inv = self.inv = pack(self._series_inverse(f[::-1], n - 1))
+            self.neg_f = pack([-c % p for c in f[:n]])
+        rq = unpack(pack(cs[:n - 1:-1]) * inv & (1 << k * bits) - 1, k)
+        return unpack(pack(cs[:n]) + (pack(rq[::-1]) * self.neg_f & (1 << n * bits) - 1), n)
+
+    def mul(self, a, b):
+        """a b mod f."""
+        if not a or not b:
+            return ()
+        return self._reduce(self.pack(a) * self.pack(b), len(a) + len(b) - 1)
+
+    def pow(self, a, e: int):
+        """a^e mod f, left-to-right binary powering."""
+        if e == 0:
+            return (1,)
+        if not a:
+            return ()
+        pack, reduce, base, la = self.pack, self._reduce, self.pack(a), len(a)
+        r = a
+        for bit in bin(e)[3:]:
+            r = reduce(pack(r) ** 2, 2 * len(r) - 1)
+            if bit == "1":
+                r = reduce(pack(r) * base, len(r) + la - 1)
+        return r
 
 
 def _trimmed(cs) -> tuple:
@@ -318,24 +422,34 @@ class PrimePoly:
             raise BadInput(f"mixed characteristics {self.p} and {other.p}")
 
     def __add__(self, other: "PrimePoly") -> "PrimePoly":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return PrimePoly._of(self.p, out)
-
-    def __neg__(self) -> "PrimePoly":
-        return PrimePoly._of(self.p, [-c for c in self.coeffs])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PrimePoly") -> "PrimePoly":
-        return self + (-other)
+        return self._combine(other, self.p - 1)
+
+    def _combine(self, other: "PrimePoly", k: int) -> "PrimePoly":
+        """self + k other for k in range(p): one packed sum, whose slots
+        each hold at most p - 1 + (p-1)^2 = p (p-1).  The slots of one
+        product hold that much: 256^w is a square m^2, so (p-1)^2 < m^2
+        gives p <= m and p (p-1) < m^2."""
+        self._check(other)
+        a, b, p = self.coeffs, other.coeffs, self.p
+        if not b:
+            return self
+        _, pack, unpack = _packer(p, 1)
+        return _poly(p, _trimmed(unpack(pack(a) + k * pack(b), max(len(a), len(b)))))
+
+    def __neg__(self) -> "PrimePoly":
+        return self * -1
 
     def __mul__(self, other) -> "PrimePoly":
         if isinstance(other, int):
-            return PrimePoly._of(self.p, [c * other for c in self.coeffs])
+            # a nonzero scalar keeps the leading coefficient nonzero
+            a, p, k = self.coeffs, self.p, other % self.p
+            if not a or not k:
+                return _poly(p, ())
+            _, pack, unpack = _packer(p, 1)
+            return _poly(p, tuple(unpack(pack(a) * k, len(a))))
         self._check(other)
         a, b, p = self.coeffs, other.coeffs, self.p
         if not a or not b:
@@ -398,14 +512,10 @@ class PrimePoly:
         """self**e reduced mod ``mod``; e may be arbitrarily large."""
         if e < 0:
             raise BadInput("negative exponent")
-        result = PrimePoly._of(self.p, (1,)) % mod
         base = self % mod
-        while e:
-            if e & 1:
-                result = result * base % mod
-            base = base * base % mod
-            e >>= 1
-        return result
+        if mod.degree == 0:
+            return base
+        return _poly(self.p, _trimmed(_Reducer(mod).pow(base.coeffs, e)))
 
 
 _set_p, _set_coeffs = PrimePoly.p.__set__, PrimePoly.coeffs.__set__
@@ -558,26 +668,58 @@ def squarefree_decomposition(f: PrimePoly) -> list[tuple[PrimePoly, int]]:
     return out
 
 
+def _minus_t(h, p: int) -> list:
+    """The residue h - t."""
+    u = list(h) + [0] * (2 - len(h))
+    u[1] = (u[1] - 1) % p
+    return u
+
+
 def distinct_degree_split(f: PrimePoly):
     """Yield (product of the irreducible factors of degree d, d) for
     squarefree monic f, in increasing d, computing each piece only when
-    it is asked for."""
+    it is asked for.
+
+    With h_d = t^(p^d) mod f, the factors of degree d divide h_d - t.
+    The h_d - t of a block of degrees are multiplied together mod the
+    part not yet split, and one gcd per block finds whether any of them
+    has a factor there; only then is the block gone through degree by
+    degree, so the pieces are the same as one gcd per degree gives.  The
+    block after degree d holds max(d, 1) degrees, up to sqrt(deg f):
+    1, 1, 2, 4, ...  Most polynomials have a factor of small degree,
+    which the short first blocks find after few products.
+    """
     p = f.p
-    x = PrimePoly._of(p, (0, 1))
-    h = x % f
-    rest = f
-    d = 0
+    rest, d, red = f, 0, None
+    h = (PrimePoly._of(p, (0, 1)) % f).coeffs
+    cap = max(1, isqrt(f.degree))
     while rest.degree > 0:
-        d += 1
-        if 2 * d > rest.degree:
+        if 2 * (d + 1) > rest.degree:
             yield rest, rest.degree
             return
-        h = h.pow_mod(p, rest)
-        g = gcd(rest, h - x)
-        if g.degree > 0:
-            yield g, d
-            rest = rest // g
-            h = h % rest
+        if red is None or red.n != rest.degree:
+            red = _Reducer(rest)
+        hs = []
+        acc = (1,)
+        for _ in range(min(max(d, 1), cap, rest.degree // 2 - d)):
+            h = red.pow(h, p)
+            hs.append(h)
+            acc = red.mul(acc, _minus_t(h, p))
+        block = gcd(rest, _poly(p, _trimmed(acc)))
+        for hd in hs:
+            d += 1
+            if block.degree == 0:  # no factor left in this block
+                continue
+            if 2 * d > rest.degree:
+                yield rest, rest.degree
+                return
+            g = gcd(block, _poly(p, _trimmed(_minus_t(hd, p))))
+            if g.degree > 0:
+                yield g, d
+                rest = rest // g
+                block = block // g
+        if rest.degree < red.n:
+            h = (_poly(p, _trimmed(h)) % rest).coeffs
 
 
 def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[PrimePoly]:
@@ -602,17 +744,20 @@ def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[
         u = PrimePoly._of(p, [rng.randrange(p) for _ in range(g.degree)])
         if u.degree < 1:
             continue
+        red = _Reducer(g)
         if p == 2:
-            # trace map into F_2: u + u^2 + ... + u^(2^(d-1))
-            w = u % g
-            acc = w
+            # trace map into F_2: u + u^2 + ... + u^(2^(d-1)); over F_2 a
+            # sum of packed residues is their XOR
+            w = u.coeffs
+            acc = red.pack(w)
             for _ in range(d - 1):
-                w = w * w % g
-                acc = acc + w
-            h = gcd(g, acc)
+                w = red.mul(w, w)
+                acc ^= red.pack(w)
+            h = gcd(g, _poly(p, _trimmed(red.unpack(acc, g.degree))))
         else:
-            w = u.pow_mod((p**d - 1) // 2, g)
-            h = gcd(g, w - PrimePoly._of(p, (1,)))
+            w = list(red.pow(u.coeffs, (p**d - 1) // 2))
+            w[0] = (w[0] - 1) % p
+            h = gcd(g, _poly(p, _trimmed(w)))
         if 0 < h.degree < g.degree:
             pieces.append(h)
             pieces.append(g // h)

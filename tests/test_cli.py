@@ -389,6 +389,16 @@ def test_optimized_interpreter_same_output():
         assert plain.returncode == optimized.returncode == 0, argv
         assert optimized.stdout == plain.stdout, argv
         assert json.loads(plain.stdout)["verified"] is True
+    # arithmetic mod a fixed polynomial: equal-degree splitting (cyclotomic),
+    # the order of t mod each candidate (bigsearch) and every table check
+    for argv in (("cyclotomic", "--r", "257", "--p", "2", "--json"),
+                 ("bigsearch", "--e", "16", "--json"),
+                 ("table", "--regen", "--json")):
+        plain = run_process(*argv)
+        optimized = run_process(*argv, flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0, argv
+        assert optimized.stdout == plain.stdout, argv
+        assert json.loads(plain.stdout), argv
 
 
 def test_source_has_no_assert_statements():

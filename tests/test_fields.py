@@ -35,7 +35,7 @@ from as90.fields import (
     subfield_section,
     trace,
 )
-from as90.polys import PrimePoly, _count_vectors, is_irreducible
+from as90.polys import PrimePoly, _count_vectors, is_irreducible, is_prime
 
 
 F4 = make_ctx(2, 2)          # modulus t^2+t+1, the only choice
@@ -367,6 +367,64 @@ def test_discrete_log_not_in_subgroup():
     outside = g + g * g
     with pytest.raises(NotInSubgroup):
         discrete_log(g, outside)
+
+
+def test_discrete_log_reuses_the_order_of_its_base(monkeypatch):
+    # a fresh context, so no earlier test has cached the base's order
+    ctx = fields.FieldCtx(2, 16, TABLE_ROWS[16][1])
+    z = ctx.gen()
+    calls = []
+    real = fields.factorint
+    monkeypatch.setattr(fields, "factorint", lambda m: calls.append(m) or real(m))
+    assert [discrete_log(z, z ** k) for k in (5, 77, 65534, 0)] == [5, 77, 65534, 0]
+    assert calls == [2**16 - 1, 2**16 - 1]  # the group order, then that of z: once each
+    # both membership checks still run on every call
+    weak = fields.FieldCtx(2, 16, PrimePoly.parse("t^16+t^15+t^8+t+1", 2)).gen()
+    for _ in range(2):
+        with pytest.raises(NotInSubgroup):
+            discrete_log(weak, weak + weak * weak)
+    assert discrete_log(weak, weak ** 300) == 300 % 257
+
+
+def test_discrete_log_order_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(fields, "ORDER_CACHE_LIMIT", 2)
+    ctx = fields.FieldCtx(2, 8, PrimePoly.parse("t^8+t^7+t^2+t+1", 2))
+    g = ctx.gen()
+    bases = [g, g ** 2, g ** 4, g ** 7]
+    for b in bases:
+        assert discrete_log(b, b ** 9) == 9
+        assert len(ctx._cache["order"]) <= 2
+    assert list(ctx._cache["order"]) == [b.coeffs for b in bases[-2:]]
+    # an evicted base is worked out again, with the same answer
+    assert discrete_log(g, g ** 200) == 200
+
+
+def test_make_ctx_cache_is_bounded():
+    # a long-lived process asking for many fields keeps only the newest
+    limit = fields.CTX_CACHE_LIMIT
+    assert fields._make_ctx_cached.cache_info().maxsize == limit
+    primes = [m for m in range(2, 10**4) if is_prime(m)][: limit + 5]
+    for p in primes:
+        assert make_ctx(p, 1).modulus == PrimePoly.x(p)
+        assert fields._make_ctx_cached.cache_info().currsize <= limit
+    # an evicted context is built again, equal to the first
+    assert make_ctx(primes[0], 1) == fields.FieldCtx(primes[0], 1, PrimePoly.x(primes[0]))
+    assert make_ctx(primes[-1], 1) is make_ctx(primes[-1], 1)
+
+
+def test_embed_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(fields, "_EMBED_CACHE", {})
+    monkeypatch.setattr(fields, "EMBED_CACHE_LIMIT", 3)
+    big = make_ctx(2, 12)
+    subs = [make_ctx(2, d, modulus=m) for d, m in
+            ((2, "t^2+t+1"), (3, "t^3+t+1"), (3, "t^3+t^2+1"), (4, "t^4+t+1"), (6, None))]
+    images = []
+    for sub in subs:
+        images.append(subfield_embed(sub.gen(), big))
+        assert len(fields._EMBED_CACHE) <= 3
+    assert list(fields._EMBED_CACHE) == [(sub, big) for sub in subs[-3:]]
+    # an evicted pair is worked out again, with the same image
+    assert subfield_embed(subs[0].gen(), big) == images[0]
 
 
 # -- embeddings ---------------------------------------------------------------

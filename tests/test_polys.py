@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from as90.errors import DivisionByZero, FactorizationTooHard, NotPrime, OrderTooLarge
 from as90.polys import (
     PrimePoly,
+    _Reducer,
     default_modulus,
+    distinct_degree_split,
+    equal_degree_split,
     factor,
     gcd,
     is_irreducible,
@@ -272,6 +275,9 @@ def test_default_modulus_is_lex_first():
     (7, 14, "t^14+3t^13+1"),
     (65521, 4, "t^4+3t^3+1"),
     (2**32 - 5, 2, "t^2+1"),
+    (2, 100, "t^100+t^98+t^95+t^94+1"),
+    (2, 128, "t^128+t^127+t^126+t^121+1"),
+    (3, 81, "t^81+2t^80+2t^78+t^76+t^75+1"),
 ])
 def test_default_modulus_pinned(p, n, text):
     assert default_modulus(p, n) == P(text, p)
@@ -539,3 +545,246 @@ def test_default_modulus_cache_is_bounded(monkeypatch):
     assert default_modulus(2, 8) == P("t^8+t^7+t^5+t^4+1")
     assert (2, 8) in polys._DEFAULT_MODULUS_CACHE
     assert (primes[0], 1) not in polys._DEFAULT_MODULUS_CACHE
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_add_sub_neg_match_schoolbook(case):
+    p, a, b = case
+    fa, fb = PrimePoly(p, a), PrimePoly(p, b)
+    neg_b = ref_mul(b, (p - 1,), p)
+    for got, want in ((fa + fb, ref_add(a, b, p)), (fb + fa, ref_add(a, b, p)),
+                      (fa - fb, ref_add(a, neg_b, p)), (-fb, neg_b),
+                      (fa - fa, ()), (fa + (-fa), ())):
+        assert_invariants(got, p)
+        assert got.coeffs == want
+    for k in (0, 1, p - 1, p, -1, 3 * p + 2, 2**70 + 5):
+        assert_invariants(fb * k, p)
+        assert (fb * k).coeffs == (k * fb).coeffs == ref_mul(b, (k % p,), p)
+
+
+# -- arithmetic mod a fixed polynomial: the reducer, Ben-Or and splitting ----
+#
+# The references below run on PrimePoly ``*`` and ``%`` (one packed
+# product, packed long division), both checked against the schoolbook
+# oracle above: square-and-multiply ``pow_mod``, and distinct- and
+# equal-degree splitting one degree at a time, as these ran before
+# arithmetic mod a fixed polynomial moved to the reducer.
+
+
+def ref_pow(a, e, m):
+    result, base = PrimePoly._of(a.p, (1,)) % m, a % m
+    while e:
+        if e & 1:
+            result = result * base % m
+        base = base * base % m
+        e >>= 1
+    return result
+
+
+def ref_distinct_degree_split(f):
+    p = f.p
+    x = PrimePoly._of(p, (0, 1))
+    h, rest, d = x % f, f, 0
+    while rest.degree > 0:
+        d += 1
+        if 2 * d > rest.degree:
+            yield rest, rest.degree
+            return
+        h = ref_pow(h, p, rest)
+        g = gcd(rest, h - x)
+        if g.degree > 0:
+            yield g, d
+            rest = rest // g
+            h = h % rest
+
+
+def ref_equal_degree_split(f, d, rng):
+    p = f.p
+    pieces, done = [f], []
+    while pieces:
+        g = pieces.pop()
+        if g.degree == d:
+            done.append(g)
+            continue
+        u = PrimePoly._of(p, [rng.randrange(p) for _ in range(g.degree)])
+        if u.degree < 1:
+            continue
+        if p == 2:
+            w = acc = u % g
+            for _ in range(d - 1):
+                w = w * w % g
+                acc = acc + w
+            h = gcd(g, acc)
+        else:
+            h = gcd(g, ref_pow(u, (p**d - 1) // 2, g) - PrimePoly._of(p, (1,)))
+        if 0 < h.degree < g.degree:
+            pieces += [h, g // h]
+        else:
+            pieces.append(g)
+    return sorted(done, key=lambda q: q.coeffs)
+
+
+def ref_factor(f):
+    rng = Random(0xA590)
+    out = []
+    for squarefree, mult in squarefree_decomposition(f):
+        for bucket, d in ref_distinct_degree_split(squarefree):
+            out += [(irr, mult) for irr in ref_equal_degree_split(bucket, d, rng)]
+    return sorted(out, key=lambda pair: (pair[0].degree, pair[0].coeffs))
+
+
+def random_irreducible(p, degree, rng):
+    while True:
+        f = PrimePoly(p, [rng.randrange(p) for _ in range(degree)] + [1])
+        if next(ref_distinct_degree_split(f))[1] == degree:
+            return f
+
+
+@st.composite
+def residue_cases(draw, max_degree=300):
+    """(p, f, a, b): a nonzero f of degree 1 to ``max_degree`` over one of
+    DIFF_PRIMES, monic or not, and two residues mod f (degree below that
+    of f, zero included), coefficients uniform or extreme."""
+    p = draw(st.sampled_from(DIFF_PRIMES))
+    n = draw(st.integers(1, max_degree))
+    rng = Random(draw(st.integers(0, 2**32)))
+    style = draw(st.sampled_from(("uniform", "extreme", "top")))
+
+    def coeffs(k):
+        if style == "uniform":
+            return [rng.randrange(p) for _ in range(k)]
+        if style == "extreme":
+            return [rng.choice((0, p - 1)) for _ in range(k)]
+        return [p - 1] * k
+
+    lead = draw(st.sampled_from((1, p - 1, rng.randrange(1, p))))
+    f = tuple(coeffs(n)) + (lead,)
+    a, b = (ref_trim(coeffs(draw(st.integers(0, n))), p) for _ in range(2))
+    return p, f, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_cases())
+def test_reducer_matches_schoolbook(case):
+    p, f, a, b = case
+    red = _Reducer(PrimePoly(p, f))
+    got = red.mul(a, b)
+    assert len(got) <= len(f) - 1 and all(0 <= c < p for c in got)
+    assert ref_trim(got, p) == ref_divmod(ref_mul(a, b, p), f, p)[1]
+    assert ref_trim(red.mul(a, a), p) == ref_divmod(ref_mul(a, a, p), f, p)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_cases(max_degree=24),
+       st.one_of(st.sampled_from((0, 1, 2, 3)), st.integers(0, 2**16),
+                 st.integers(2**200 - 2**20, 2**200 + 2**20)))
+def test_reducer_pow_matches_schoolbook(case, e):
+    p, f, a, _ = case
+    got = _Reducer(PrimePoly(p, f)).pow(a, e)
+    assert ref_trim(got, p) == ref_pow_mod(a, e, f, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(residue_cases(),
+       st.one_of(st.sampled_from((0, 1, 2, 3)), st.integers(0, 2**16),
+                 st.integers(2**200 - 2**20, 2**200 + 2**20)))
+def test_pow_mod_matches_packed_division_at_large_degree(case, e):
+    # degrees up to 300 and exponents near 2^200; the reference is
+    # square-and-multiply on packed long division
+    p, f, a, b = case
+    base, mod = PrimePoly(p, b + a), PrimePoly(p, f)  # base may exceed mod
+    got = base.pow_mod(e, mod)
+    assert_invariants(got, p)
+    assert got == ref_pow(base, e, mod)
+
+
+@pytest.mark.parametrize("p, degree", [(2, 1), (2, 2), (2, 255), (2, 256), (2, 300),
+                                       (3, 300), (65521, 1), (2**61 - 1, 300)])
+def test_reducer_slot_boundaries(p, degree):
+    # all-(p-1) residues fill every slot of the product and of both
+    # Barrett products; over F_2 a 256-slot product no longer fits bytes
+    f = (p - 1,) * (degree + 1)
+    top = (p - 1,) * degree
+    red = _Reducer(PrimePoly(p, f))
+    assert ref_trim(red.mul(top, top), p) == ref_divmod(ref_mul(top, top, p), f, p)[1]
+    assert ref_trim(red.pow(top, 5), p) == ref_pow_mod(top, 5, f, p)
+
+
+def test_pow_mod_degenerate_moduli():
+    for p in DIFF_PRIMES:
+        a = PrimePoly(p, (3, 1, 4, 1, 5))
+        for unit in (1, p - 1):
+            assert a.pow_mod(7, PrimePoly(p, (unit,))) == PrimePoly.zero(p)
+        linear = PrimePoly(p, (2, 1))
+        assert a.pow_mod(0, linear) == PrimePoly.one(p)
+        assert a.pow_mod(3, linear) == PrimePoly(p, (a.eval(p - 2) ** 3,))
+        assert PrimePoly.zero(p).pow_mod(0, linear) == PrimePoly.one(p)
+        assert PrimePoly.zero(p).pow_mod(5, linear) == PrimePoly.zero(p)
+
+
+#: Degrees of the irreducible factors of squarefree test polynomials.
+#: Ben-Or takes the degrees in blocks (1, 2, 3-4, 5-8, ...; each capped
+#: at about the square root of the degree left), so these put factors
+#: first, last and in the middle of a block, several in one block, and
+#: leave nothing after a block (the part left over reaches 1).
+SPLIT_DEGREES = [(1,), (2,), (5,), (1, 1), (1, 2), (3, 3), (3, 4), (2, 5), (4, 4, 6, 7),
+                 (5, 5, 6, 6), (5, 6, 7, 8), (6, 7), (1, 2, 3, 4, 5, 6), (9, 9, 11),
+                 (2, 9, 12), (6, 10, 12), (8, 8, 8), (13, 13), (17, 20)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+@pytest.mark.parametrize("degrees", SPLIT_DEGREES)
+def test_distinct_degree_split_matches_unblocked(p, degrees):
+    if p == 65521 and sum(degrees) > 24:
+        return
+    rng = Random(f"{p}/{degrees}")
+    while True:
+        factors = [random_irreducible(p, d, rng) for d in degrees]
+        if len(set(factors)) == len(factors):
+            break
+    f = PrimePoly.one(p)
+    for g in factors:
+        f = f * g
+    got = list(distinct_degree_split(f))
+    assert got == list(ref_distinct_degree_split(f))
+    product = PrimePoly.one(p)
+    for piece, d in got:
+        assert piece.degree >= 1 and piece.is_monic() and piece.degree % d == 0
+        product = product * piece
+    assert product == f
+    assert sorted(d for piece, d in got for _ in range(piece.degree // d)) == sorted(degrees)
+    assert is_irreducible(f) == (len(degrees) == 1)
+    assert factor(f) == ref_factor(f) == sorted(((g, 1) for g in factors),
+                                                key=lambda pair: (pair[0].degree, pair[0].coeffs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((2, 3, 5, 65521)), st.integers(1, 48), st.integers(0, 2**32))
+def test_factor_matches_unblocked_reference(p, degree, seed):
+    rng = Random(seed)
+    if p > 5:
+        degree = 1 + degree % 16
+    f = PrimePoly(p, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+    got = factor(f)
+    assert got == ref_factor(f)
+    assert all(g.degree >= 1 for g, _ in got)
+    assert is_irreducible(f) == (got == [(f.monic(), 1)])
+    for squarefree, _ in squarefree_decomposition(f):
+        assert list(distinct_degree_split(squarefree)) == list(
+            ref_distinct_degree_split(squarefree))
+
+
+@pytest.mark.parametrize("p, d, count", [(2, 1, 2), (2, 4, 3), (2, 8, 6), (2, 16, 3), (3, 3, 4),
+                                         (5, 2, 5), (65521, 2, 3)])
+def test_equal_degree_split_matches_reference(p, d, count):
+    rng = Random(f"{p}/{d}/{count}")
+    factors = set()
+    while len(factors) < count:
+        factors.add(random_irreducible(p, d, rng))
+    f = PrimePoly.one(p)
+    for g in factors:
+        f = f * g
+    got = equal_degree_split(f, d, Random(0xA590))
+    assert got == ref_equal_degree_split(f, d, Random(0xA590))
+    assert got == sorted(factors, key=lambda q: q.coeffs)
