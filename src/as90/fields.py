@@ -19,6 +19,10 @@ Frobenius maps, traces and subfield tests are F_p-linear, so each
 context lazily caches every map it uses in one form, its n packed
 columns; after the first call these operations cost one
 matrix-vector product, sum_c v_c * column_c.
+
+A subfield GF(p^d) embeds by a root of its modulus g, read off an
+idempotent of ctx[X]/g; that ring packs on the same packer, d blocks of
+field elements, and no polynomial over the field is ever divided.
 """
 
 from __future__ import annotations
@@ -659,73 +663,6 @@ def discrete_log(base: FieldElem, target: FieldElem,
     return x
 
 
-# -- polynomials with FieldElem coefficients (internal helpers) --------------
-
-
-def _fp_trim(cs: list[FieldElem]) -> list[FieldElem]:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _fp_mul(a, b, ctx: FieldCtx):
-    if not a or not b:
-        return []
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, ctx: FieldCtx):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _fp_trim(rem)
-    inv = b[-1].inv()
-    quo = [ctx.zero()] * (len(rem) - db)
-    for k in range(len(rem) - db - 1, -1, -1):
-        c = rem[k + db] * inv
-        if not c.is_zero():
-            quo[k] = c
-            for i, bc in enumerate(b):
-                rem[k + i] = rem[k + i] - c * bc
-    return _fp_trim(quo), _fp_trim(rem[:db])
-
-
-def _fp_mod(a, b, ctx):
-    return _fp_divmod(a, b, ctx)[1]
-
-
-def _fp_monic(a, ctx):
-    if not a:
-        return a
-    inv = a[-1].inv()
-    return [c * inv for c in a]
-
-
-def _fp_gcd(a, b, ctx):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_mod(a, b, ctx)
-    return _fp_monic(a, ctx)
-
-
-def _fp_powmod(base, e: int, mod, ctx: FieldCtx):
-    result = _fp_mod([ctx.one()], mod, ctx)
-    base = _fp_mod(list(base), mod, ctx)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, base, ctx), mod, ctx)
-        base = _fp_mod(_fp_mul(base, base, ctx), mod, ctx)
-        e >>= 1
-    return result
-
-
 # -- subfield embeddings ------------------------------------------------------
 
 
@@ -734,49 +671,107 @@ def _fp_powmod(base, e: int, mod, ctx: FieldCtx):
 _EMBED_CACHE: dict[tuple[FieldCtx, FieldCtx], FieldElem] = {}
 
 
+def _at(g: PrimePoly, x: FieldElem) -> FieldElem:
+    """g(x) by Horner's rule, for g over F_p."""
+    value = x.ctx.zero()
+    for c in reversed(g.coeffs):
+        value = value * x + c
+    return value
+
+
+def _mod_g(g: PrimePoly, ctx: FieldCtx):
+    """(pack, unpack, mul) for A = ctx[X]/g, g over F_p of degree d.
+
+    ``pack`` puts the d coefficients (in ctx) of an element on
+    ``_packer(p, n d)`` as X-blocks of 2n - 1 t-slots, so a product is
+    one big-int product, at most n d products of residues per slot.
+    ``mul`` reads its slots mod p, folds block d + k into the low blocks
+    by the F_p coefficients of X^(d+k) mod g (at most
+    (d - 1)(p - 1)^2 + p - 1 per slot), reads them mod p again and folds
+    each block's t-degree by the ``_Kernel``; no slot exceeds the width.
+    """
+    p, n, d = ctx.p, ctx.n, g.degree
+    kern, b, gap = _kernel(ctx), 2 * n - 1, (0,) * (n - 1)
+    _, pk, upk = _packer(p, n * d)
+    red, cols, col = _Reducer(g), [], [-c % p for c in g.coeffs[:d]]  # col = X^d mod g
+    for _ in range(d - 1):  # X^(d+k) mod g, k < d - 1
+        cols.append(tuple(col) + (0,) * (d - len(col)))
+        col = red.mul(col, (0, 1))
+    rows = list(zip(*cols)) or [()] * d
+
+    def pack(cs):
+        return pk([x for c in cs for x in (*c, *gap)])
+
+    def mul(x, y):
+        c = upk(x * y, (2 * d - 1) * b)
+        high = [pk(c[i:i + b]) for i in range(d * b, (2 * d - 1) * b, b)]
+        out = []
+        for j, row in enumerate(rows):
+            cj = upk(pk(c[j * b:(j + 1) * b]) + sum(map(operator.mul, row, high)), b)
+            out += kern.unpack(kern.pack(cj[:n]) + sum(map(operator.mul, cj[n:], kern.red)), n)
+            out += gap
+        return pk(out)
+
+    def unpack(x):
+        c = upk(x, d * b)
+        return [tuple(c[i:i + n]) for i in range(0, d * b, b)]
+
+    return pack, unpack, mul
+
+
 def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
     """Some root in ctx of g, a monic irreducible over F_p of degree d | n.
 
-    Berlekamp's trace split.  For a in ctx, the absolute trace
-    T(u) = sum_{k<n} u^(p^k) of u = aX in ctx[X]/g is
-    sum_{k<n} phi^k(a) (X^(p^k) mod g), where phi: x -> x^p.  The
-    X^(p^k) mod g have F_p coefficients and repeat with period d, so
-    T(aX) costs n Frobenius steps and no field multiplication.  At each
-    root theta of g, w = T(aX) + s takes the value Tr(a theta) + s in
-    F_p, so gcd(w, h) (p = 2) or gcd(w^((p-1)/2) - 1, h) (odd p) splits
-    the current factor h by those values.  For random a and s in F_p
-    each pair of roots lands on different sides with probability at
-    least 4/9; the smaller side is kept until h is linear.
+    g splits over ctx into distinct linear factors, so A = ctx[X]/g is
+    ctx^d, one coordinate per root theta_i, and its products act
+    coordinatewise (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 14).  For a in ctx the absolute trace of aX in A is
+    sum_{k<n} phi^k(a) (X^(p^k) mod g), phi: x -> x^p, whose X-parts have
+    F_p coefficients and period d; so w = T(aX) + s, s in F_p, costs n
+    Frobenius steps and has the coordinates Tr(a theta_i) + s in F_p.
+    Then w (p = 2) or (u + u^2)/2 with u = w^((p-1)/2) is an idempotent,
+    1 where w is a nonzero square.  Starting from e = 1, e is multiplied
+    by it whenever the product is neither 0 nor e, which separates each
+    pair of roots with probability at least 4/9.  Once e keeps one root
+    theta it is g / ((X - theta) g'(theta)), so theta is
+    e_(d-2)/e_(d-1) - g_(d-1), read off e's top two coefficients.  All
+    products are taken mod the fixed g: no gcd and no division.
     """
     p, n, d = ctx.p, ctx.n, g.degree
-    kern, frob = _kernel(ctx), _frob_cols(ctx, 1)
-    red = _Reducer(g)
+    kern, frob, red = _kernel(ctx), _frob_cols(ctx, 1), _Reducer(g)
     conj = [(PrimePoly.x(p) % g).coeffs]
     for _ in range(d - 1):
         conj.append(red.pow(conj[-1], p))
     conj_rows = list(zip(*(tuple(c) + (0,) * (d - len(c)) for c in conj)))
+    pack, unpack, mul = _mod_g(g, ctx)
+    zero, half = (0,) * n, (p + 1) // 2
+    e = pack([ctx.one().coeffs] + [zero] * (d - 1))
     rng = Random(0xE17)
-    h = [ctx.elem(c) for c in g.coeffs]
-    guard = 0
-    while len(h) > 2:
-        guard += 1
-        if guard > 400 * d:
-            raise RuntimeError("root splitting failed to converge")
+    for _ in range(400 * d):
+        *_, low, top = [zero, *unpack(e)]  # e_(d-2) is 0 when d = 1
+        if any(top):
+            theta = FieldElem(ctx, low) / FieldElem(ctx, top) - g.coeffs[d - 1]
+            if _at(g, theta).is_zero():
+                return theta
         a = ctx.random_element(rng).coeffs
         folded = [0] * d  # packed sum of phi^k(a) over k = j mod d
         for k in range(n):
             folded[k % d] += kern.pack(a)
             a = kern.combine(a, frob)
-        w = [FieldElem(ctx, kern.combine(row, folded)) for row in conj_rows]
-        w[0] = w[0] + rng.randrange(p)
-        w = _fp_mod(_fp_trim(w), h, ctx)
+        w = [kern.combine(row, folded) for row in conj_rows]
+        w[0] = ((w[0][0] + rng.randrange(p)) % p, *w[0][1:])
+        w = pack(w)
         if p != 2:
-            w = _fp_powmod(w, (p - 1) // 2, h, ctx) or [ctx.zero()]
-            w = _fp_trim([w[0] - 1] + w[1:])
-        f = _fp_gcd(w, h, ctx)
-        if 1 < len(f) < len(h):
-            h = f if 2 * len(f) <= len(h) + 1 else _fp_divmod(h, f, ctx)[0]
-    return -h[0]
+            u = w
+            for bit in bin((p - 1) // 2)[3:]:
+                u = mul(u, u)
+                if bit == "1":
+                    u = mul(u, w)
+            w = pack(unpack(half * (u + mul(u, u))))  # below p^2 <= n d (p-1)^2, d > 1
+        w = mul(e, w)
+        if w and w != e:
+            e = w
+    raise RuntimeError("root splitting failed to converge")
 
 
 def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
@@ -786,7 +781,8 @@ def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
     g in dst that is smallest by coefficient tuple.  g is irreducible
     over F_p of degree d | n, so its roots are the d distinct conjugates
     phi^i(theta), i < d, of any one root theta; ``_one_root`` finds one
-    and the smallest conjugate is kept.
+    from an idempotent of dst[X]/g and the smallest conjugate is kept,
+    so the image does not depend on which root was found.
     """
     key = (src, dst)
     theta = _EMBED_CACHE.get(key)
@@ -802,10 +798,7 @@ def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
             if len(set(orbit)) != g.degree:
                 raise RuntimeError(f"conjugates of a root of {g} are not distinct")
             theta = FieldElem(dst, min(orbit))
-            value = dst.zero()
-            for c in reversed(g.coeffs):
-                value = value * theta + c
-            if not value.is_zero():
+            if not _at(g, theta).is_zero():
                 raise RuntimeError(f"embedding image is not a root of {g}")
         _EMBED_CACHE[key] = theta
         if len(_EMBED_CACHE) > EMBED_CACHE_LIMIT:
@@ -820,8 +813,9 @@ def subfield_embed(a: FieldElem, target: FieldCtx) -> FieldElem:
     smallest root of the source modulus in the target (the generator
     itself when both use one modulus), fixed once per context pair, so
     the map is a consistent ring homomorphism across calls.  That root
-    is found as one root by a trace split, then the least of its d
-    Frobenius conjugates, which are all the roots.
+    is found as one root, read off a primitive idempotent of
+    target[X]/g built from traces, then the least of its d Frobenius
+    conjugates, which are all the roots.
     """
     src = a.ctx
     if src == target:

@@ -28,9 +28,12 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElem,
+    _kernel,
+    _trace_cols,
     degree_over_subfield,
     frobenius,
     make_ctx,
+    solve_in_span,
     subfield_embed,
     trace,
 )
@@ -100,11 +103,13 @@ def find_trace_one(
 
     target_e defaults to n_p, the p-part of the extension degree, which
     is the smallest degree any trace-one witness can have.  For the
-    default degree a deterministic scan of the fixed field K of
-    sigma^{n_p} is used, looking for trace (n_p')^{-1} onto F.  Larger
-    degrees (multiples of n_p dividing the extension degree) use seeded
-    rejection sampling: draw zeta in the degree-target subfield, reject
-    on wrong degree or vanishing trace, return zeta scaled by its
+    default degree the witness is the least z, by coefficient tuple, in
+    the fixed field K of sigma^{n_p} with trace (n_p')^{-1} onto F: the
+    least solution of a linear system, by one row reduction.  Its degree
+    is n_p, as the trace onto F vanishes on each proper subfield of K.
+    Larger degrees (multiples of n_p dividing the extension degree) use
+    seeded rejection sampling: draw zeta in the degree-target subfield,
+    reject on wrong degree or vanishing trace, return zeta scaled by its
     inverse trace.
     """
     p, m = ctx.p, ctx.m
@@ -123,12 +128,11 @@ def find_trace_one(
         else:
             sub = ctx if ctx.f * m_p == ctx.n else make_ctx(p, ctx.f * m_p, f=ctx.f)
             want = sub.elem(inv)
-            z0 = None
-            for cand in sub.elements_lex():
-                if trace(cand, sub.f) == want and degree_over_subfield(cand, sub.f) == m_p:
-                    z0 = cand
-                    break
-            if z0 is None:
+            cols = [_kernel(sub).unpack(c, sub.n) for c in _trace_cols(sub, sub.f)]
+            # reversed, the free coordinates set to 0 are the lowest possible
+            combo = solve_in_span(cols[::-1], want.coeffs, p)
+            z0 = sub.elem((combo or ())[::-1])  # no solution gives 0, refused below
+            if trace(z0, sub.f) != want or degree_over_subfield(z0, sub.f) != m_p:
                 raise RuntimeError(f"no trace-one witness of degree {m_p} in {sub.describe()}")
             z = z0 if sub is ctx else subfield_embed(z0, ctx)
         provenance = "deterministic-subfield"

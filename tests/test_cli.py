@@ -216,6 +216,18 @@ def test_period_searched_witness(capsys):
     assert "seed: 7" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("period", "--p", "2", "--n", "56", "--f", "28"), "pass: true"),
+    (("root", "--p", "2", "--n", "64", "--f", "32", "--y", "0"), "verified: true"),
+])
+def test_witness_in_a_large_subfield_is_solved_not_scanned(argv, line):
+    # m_p = 2 over GF(2^28) and GF(2^32): the witness's subfield is the
+    # whole field, far beyond any scan of its elements
+    proc = run_process(*argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()
+
+
 def test_period_json(capsys):
     code, out, _ = run(
         capsys, "period", "--p", "2", "--n", "4", "--z", "t", "--json"

@@ -20,7 +20,7 @@ from as90.errors import (
 )
 from as90 import fields
 from as90.artin_schreier import find_zeta
-from as90.bigpoly import TABLE_ROWS
+from as90.bigpoly import TABLE_ROWS, classify, factor_cyclotomic, ord_mod
 from as90.fields import (
     FieldElem,
     degree_over_subfield,
@@ -35,6 +35,7 @@ from as90.fields import (
     subfield_section,
     trace,
 )
+from as90.intfactor import p_part
 from as90.polys import PrimePoly, _count_vectors, is_irreducible, is_prime
 
 
@@ -68,7 +69,7 @@ def test_ctx_basics():
     ctx = make_ctx(2, 12, f=3)
     assert ctx.q == 8 and ctx.m == 4
     assert "GF(2^12)" in ctx.describe()
-    assert make_ctx(2, 2) is F4  # cached
+    assert make_ctx(2, 2) is make_ctx(2, 2) == F4  # cached
 
 
 def test_ctx_is_an_immutable_hashable_value():
@@ -550,6 +551,195 @@ def test_embed_deterministic():
     a = subfield_embed(F4.gen(), ctx)
     b = subfield_embed(F4.gen(), ctx)
     assert a == b
+
+
+# -- the root finder against the schoolbook ctx[X] engine it replaced ----------
+#
+# ``_one_root`` once split g by gcds over ctx[X], on lists of FieldElem
+# coefficients (low degree first, trimmed).  That engine is kept here as
+# the reference: any root it finds gives the same embedding image, the
+# least of the root's Frobenius conjugates.
+
+def fp_trim(cs):
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def fp_mul(a, b, ctx):
+    if not a or not b:
+        return []
+    out = [ctx.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai.is_zero():
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+    return fp_trim(out)
+
+
+def fp_divmod(a, b, ctx):
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return [], fp_trim(rem)
+    inv = b[-1].inv()
+    quo = [ctx.zero()] * (len(rem) - db)
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db] * inv
+        if not c.is_zero():
+            quo[k] = c
+            for i, bc in enumerate(b):
+                rem[k + i] = rem[k + i] - c * bc
+    return fp_trim(quo), fp_trim(rem[:db])
+
+
+def fp_mod(a, b, ctx):
+    return fp_divmod(a, b, ctx)[1]
+
+
+def fp_gcd(a, b, ctx):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, fp_mod(a, b, ctx)
+    inv = a[-1].inv()
+    return [c * inv for c in a]
+
+
+def fp_powmod(base, e, mod, ctx):
+    result = fp_mod([ctx.one()], mod, ctx)
+    base = fp_mod(list(base), mod, ctx)
+    while e:
+        if e & 1:
+            result = fp_mod(fp_mul(result, base, ctx), mod, ctx)
+        base = fp_mod(fp_mul(base, base, ctx), mod, ctx)
+        e >>= 1
+    return result
+
+
+def reference_one_root(g, ctx):
+    """Berlekamp's trace split by gcds with the current factor h of g."""
+    p, n, d = ctx.p, ctx.n, g.degree
+    conj = [PrimePoly.x(p) % g]
+    for _ in range(d - 1):
+        conj.append(conj[-1].pow_mod(p, g))
+    rng = Random(0xE17)
+    h = [ctx.elem(c) for c in g.coeffs]
+    while len(h) > 2:
+        a = ctx.random_element(rng)
+        w = [ctx.zero()] * d
+        for k in range(n):
+            for j, c in enumerate(conj[k % d].coeffs):
+                w[j] = w[j] + c * a
+            a = a ** p
+        w[0] = w[0] + rng.randrange(p)
+        w = fp_mod(fp_trim(w), h, ctx)
+        if p != 2:
+            w = fp_powmod(w, (p - 1) // 2, h, ctx) or [ctx.zero()]
+            w = fp_trim([w[0] - 1] + w[1:])
+        f = fp_gcd(w, h, ctx)
+        if 1 < len(f) < len(h):
+            h = f if 2 * len(f) <= len(h) + 1 else fp_divmod(h, f, ctx)[0]
+    return -h[0]
+
+
+def reference_image(src, dst):
+    if src.n == dst.n and src.modulus == dst.modulus:
+        return dst.gen()
+    roots = conjugate_roots(src.modulus, reference_one_root(src.modulus, dst))
+    return min(roots, key=lambda e: e.coeffs)
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def fits(p, n):
+    return p**n <= fields.SCALE_LIMIT
+
+
+def constructor_pairs():
+    """(source, target) of each embedding a root constructor or the
+    deterministic witness search makes, on every field under the cap
+    (for the cube-root and cyclotomic constructors, over a few primes)."""
+    for d, (_, g) in TABLE_ROWS.items():  # table: the two-part of n is d
+        for n in range(d, 65, 2 * d):
+            yield make_ctx(2, d, modulus=g), make_ctx(2, n)
+    for p in (2, 3, 5, 7, 11, 13):  # np_p: the p-part of n is p
+        for n in range(p, 65, p):
+            if fits(p, n) and n % p**2:
+                yield find_zeta(p).ctx, make_ctx(p, n)
+    for p in (2, 5, 11, 17, 2**32 - 5):  # p2mod3: omega, n even, p coprime to n/2
+        for n in range(2, 65, 2):
+            if fits(p, n) and (n // 2) % p:
+                yield make_ctx(p, 2, modulus=PrimePoly(p, (1, 1, 1))), make_ctx(p, n)
+    for p in (2, 3, 5, 7):  # prime_r: a big factor of the r-th cyclotomic
+        for r in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            e = ord_mod(r, p) if r != p else 0
+            big = [g for g in factor_cyclotomic(r, p) if classify(g).is_big] if e else []
+            for n in range(e, 65, e or 65):
+                if big and fits(p, n) and (n // e) % p:
+                    yield make_ctx(p, e, modulus=big[0]), make_ctx(p, n)
+    seen = set()
+    for p in (2, 3, 5, 7):  # find_trace_one: the degree-f m_p subfield, f m_p < n
+        for n in range(2, 65):
+            for f in divisors(n) if fits(p, n) else ():
+                d = f * p_part(n // f, p)
+                if p_part(n // f, p) > 1 and d < n and (p, d, n) not in seen:
+                    seen.add((p, d, n))
+                    yield make_ctx(p, d, f=f), make_ctx(p, n, f=f)
+
+
+def random_irreducible(p, d, rng):
+    while True:
+        g = PrimePoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+        if is_irreducible(g):
+            return g
+
+
+def random_pairs():
+    rng = Random(2024)
+    for p in (2, 3, 5, 7, 251, 65521):
+        top = max(n for n in range(1, 65) if fits(p, n))
+        for _ in range(5):
+            n = rng.randint(1, min(top, 24))
+            d = rng.choice(divisors(n))
+            yield (make_ctx(p, d, modulus=random_irreducible(p, d, rng)),
+                   make_ctx(p, n, modulus=random_irreducible(p, n, rng)))
+
+
+@pytest.mark.parametrize("pairs", [embedding_grid, constructor_pairs, random_pairs])
+def test_embedding_image_matches_reference_root_finder(pairs):
+    for src, dst in pairs():
+        root = fields._one_root(src.modulus, dst)
+        assert fields._at(src.modulus, root).is_zero(), (src, dst)
+        assert fields._embedding_image(src, dst) == reference_image(src, dst), (src, dst)
+
+
+# (p, n, d) -> slot width of the packed product in ctx[X]/g: each side of
+# the width boundaries 255, 2^16 - 1, 2^32 - 1 and 2^64 - 1 of n d (p-1)^2
+ALGEBRA_FIELDS = {
+    (2, 42, 6): 1, (3, 21, 3): 1, (2, 16, 16): 2, (5, 4, 4): 2,
+    (127, 2, 2): 2, (131, 2, 2): 4, (32749, 2, 2): 4, (32771, 2, 2): 8,
+    (2**31 - 1, 2, 2): 8, (2**32 - 5, 2, 2): 9,
+}
+
+
+@pytest.mark.parametrize("pnd", sorted(ALGEBRA_FIELDS))
+def test_mod_g_product_matches_schoolbook(pnd):
+    p, n, d = pnd
+    assert fields._packer(p, n * d)[0] == ALGEBRA_FIELDS[pnd]
+    ctx = make_ctx(p, n)
+    g = random_irreducible(p, d, Random(d))
+    pack, unpack, mul = fields._mod_g(g, ctx)
+    g_elems = [ctx.elem(c) for c in g.coeffs]
+    rng = Random(p)
+    top = [FieldElem(ctx, (p - 1,) * n)] * d  # every slot as large as it can be
+    for a, b in [(top, top)] + [([ctx.random_element(rng) for _ in range(d)],
+                                 [ctx.random_element(rng) for _ in range(d)]) for _ in range(4)]:
+        got = unpack(mul(pack([x.coeffs for x in a]), pack([x.coeffs for x in b])))
+        want = fp_mod(fp_mul(a, b, ctx), g_elems, ctx)
+        want += [ctx.zero()] * (d - len(want))
+        assert got == [x.coeffs for x in want]
 
 
 # -- linear algebra helpers ---------------------------------------------------

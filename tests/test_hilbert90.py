@@ -205,6 +205,44 @@ def test_find_trace_one_randomized_deterministic_per_seed():
     assert "seed=9" in a.provenance
 
 
+def scan_witness(ctx):
+    """The deterministic witness as a scan of the fixed field K of
+    sigma^{m_p} finds it: the first element of K, in ``elements_lex``
+    order, with trace (m/m_p)^{-1} and degree m_p over the base."""
+    p, m = ctx.p, ctx.m
+    m_p = p_part(m, p)
+    sub = ctx if ctx.f * m_p == ctx.n else make_ctx(p, ctx.f * m_p, f=ctx.f)
+    want = sub.elem(pow(m // m_p % p, -1, p))
+    z0 = next(c for c in sub.elements_lex()
+              if trace(c, sub.f) == want and degree_over_subfield(c, sub.f) == m_p)
+    return z0 if sub is ctx else subfield_embed(z0, ctx)
+
+
+# (p, n, f) with m_p > 1, where the scan ends within a few thousand
+# elements; K is the whole field or a proper subfield, f = 1 or f > 1
+SCAN_FIELDS = [
+    (2, 2, 1), (2, 8, 2), (2, 12, 3), (2, 16, 8), (2, 20, 5), (2, 24, 12),
+    (2, 32, 4), (2, 40, 5), (3, 9, 3), (3, 12, 4), (3, 24, 8), (3, 39, 1),
+    (5, 15, 3), (5, 20, 4), (7, 14, 2), (7, 21, 3), (2, 30, 1), (5, 10, 1),
+]
+
+
+@pytest.mark.parametrize("p, n, f", SCAN_FIELDS)
+def test_find_trace_one_is_the_least_witness_a_scan_finds(p, n, f):
+    ctx = make_ctx(p, n, f=f)
+    wit = find_trace_one(ctx)
+    assert wit.z == scan_witness(ctx)
+    assert wit.e == p_part(ctx.m, ctx.p) and trace(wit.z, ctx.f) == 1
+
+
+def test_find_trace_one_in_a_subfield_too_large_to_scan():
+    # K is the whole of GF(2^56) or GF(2^64), which no scan could cover
+    for ctx in (make_ctx(2, 56, f=28), make_ctx(2, 64, f=32)):
+        wit = find_trace_one(ctx)
+        assert wit.e == 2 and wit.provenance == "deterministic-subfield"
+        assert trace(wit.z, ctx.f) == 1 and degree_over_subfield(wit.z, ctx.f) == 2
+
+
 def test_find_trace_one_subfield_step():
     # q = 4, m = 3: z should be a scalar in GF(4)... m_p = 1 here
     ctx = make_ctx(2, 6, f=2)
