@@ -56,7 +56,7 @@ from .fields import (
 )
 from .hilbert90 import TraceOneWitness, _certified, find_trace_one, r_form
 from .intfactor import p_part
-from .periodicity import partial_trace_terms, sequence_period
+from .periodicity import partial_sum_period, partial_trace_terms
 from .polys import PrimePoly, _count_vectors
 
 #: Discrete logs of the reference partial sums x_1, x_2, ... to base z,
@@ -334,8 +334,7 @@ def root_via_prime_r(ctx: FieldCtx, r: int):
         raise RuntimeError(f"the p-part of n = {n} does not divide the witness degree {e}")
     scalar = pow((n // e) * tau % p, -1, p)
     z = subfield_embed(zeta, ctx) * scalar
-    terms = partial_trace_terms(z, 2 * e * p)
-    if sequence_period(terms, e * p) != e * p:
+    if partial_sum_period(z) != e * p:
         raise RuntimeError(f"the partial sums of the witness do not have period {e * p}")
     return z, {"r": r, "e": e, "tau": tau, "zeta_min_poly": str(g)}
 

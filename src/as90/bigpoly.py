@@ -16,7 +16,7 @@ from random import Random
 
 from ._record import Record
 from .errors import BadInput, EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
-from .intfactor import factorint
+from .intfactor import factorint, least_divisor
 from .periodicity import sequence_period
 from .polys import (
     PrimePoly,
@@ -90,11 +90,7 @@ def ord_mod(r: int, p: int) -> int:
         raise NotPrime(f"{p} is not prime")
     if r == p:
         raise EqualPrimes("p has no order modulo itself")
-    e = r - 1
-    for ell in factorint(e):
-        while e % ell == 0 and pow(p, e // ell, r) == 1:
-            e //= ell
-    return e
+    return least_divisor(r - 1, factorint(r - 1), lambda d: pow(p, d, r) == 1)
 
 
 def cyclotomic_prime(r: int, p: int) -> PrimePoly:

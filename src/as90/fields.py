@@ -28,6 +28,7 @@ field elements, and no polynomial over the field is ever divided.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt, prod
 import operator
 from random import Random
 
@@ -45,7 +46,7 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
-from .intfactor import factorint
+from .intfactor import factorint, least_divisor
 from .polys import (
     PrimePoly,
     _Reducer,
@@ -63,7 +64,7 @@ _BSGS_PRIME_LIMIT = 2**32
 #: keeps two contexts alive).
 CTX_CACHE_LIMIT = 512
 EMBED_CACHE_LIMIT = 128
-#: How many bases per context ``discrete_log`` keeps the order of.
+#: How many bases per context ``discrete_log`` keeps a Pohlig-Hellman plan for.
 ORDER_CACHE_LIMIT = 16
 
 
@@ -527,10 +528,8 @@ def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
     if d < 1 or ctx.n % d != 0:
         raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
     kern, e = _kernel(ctx), ctx.n // d
-    for ell in factorint(e):
-        while e % ell == 0 and kern.combine(a.coeffs, _frob_cols(ctx, d * e // ell)) == a.coeffs:
-            e //= ell
-    return e
+    return least_divisor(e, factorint(e),
+                         lambda k: kern.combine(a.coeffs, _frob_cols(ctx, d * k)) == a.coeffs)
 
 
 def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
@@ -564,100 +563,84 @@ def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
 
 
 def element_order(a: FieldElem, factors: dict[int, int] | None = None) -> int:
-    """Multiplicative order of a nonzero element."""
+    """Multiplicative order of a nonzero a; ``factors`` must factor p^n - 1."""
     if a.is_zero():
         raise ZeroElement("zero has no multiplicative order")
     group = a.ctx.order - 1
     if factors is None:
         factors = factorint(group)
-    m = group
-    for prime, exp in factors.items():
-        for _ in range(exp):
-            if m % prime == 0 and (a ** (m // prime)) == 1:
-                m //= prime
-            else:
-                break
+    elif prod(ell**k for ell, k in factors.items()) != group or not all(map(is_prime, factors)):
+        raise BadInput(f"{factors} is not the prime factorization of {group}")
+    m = least_divisor(group, factors, lambda d: a**d == 1)
     if a**m != 1:
         raise RuntimeError(f"computed order {m} does not annihilate {a}")
     return m
 
 
-def _bsgs(ctx: FieldCtx, gamma: FieldElem, h: FieldElem, ell: int) -> int:
-    """Discrete log of h base gamma where gamma has prime order ell."""
-    if ell > _BSGS_PRIME_LIMIT:
+def _log_plan(base: FieldElem, factors: dict[int, int] | None):
+    """(m, [(ell, k, table, giant)]): the order m of base, and for each
+    ell^k dividing m the baby steps {gamma^j: j < w}, w = ceil(sqrt(ell)),
+    of gamma = base^(m/ell) and the giant step gamma^-w (None for ell
+    above _BSGS_PRIME_LIMIT).  Without caller-given factors the plan is
+    kept in the context, for the newest ORDER_CACHE_LIMIT bases."""
+    cache = base.ctx._cache.setdefault("order", {})
+    if factors is None and base.coeffs in cache:
+        return cache[base.coeffs]
+    m = element_order(base, factors)
+    steps = []
+    for ell, k in sorted(factorint(m).items()):
+        table = giant = None
+        if ell <= _BSGS_PRIME_LIMIT:
+            gamma, width, table = base ** (m // ell), isqrt(ell - 1) + 1, {}
+            cur = base.ctx.one()
+            for j in range(width):
+                table[cur.coeffs] = j
+                cur = cur * gamma
+            giant = (gamma**width).inv()
+        steps.append((ell, k, table, giant))
+    if factors is None:
+        cache[base.coeffs] = (m, steps)
+        if len(cache) > ORDER_CACHE_LIMIT:
+            del cache[next(iter(cache))]
+    return m, steps
+
+
+def _bsgs(table: dict | None, giant: FieldElem, h: FieldElem, ell: int) -> int:
+    """Log of h to gamma, of prime order ell, by the steps of ``_log_plan``."""
+    if table is None:
         raise OrderTooLarge(f"prime factor {ell} too large for baby-step giant-step")
-    width = 1
-    while width * width < ell:
-        width += 1
-    cache = ctx._cache.setdefault("bsgs", {})
-    key = gamma.coeffs
-    if key not in cache:
-        table = {}
-        cur = ctx.one()
-        for j in range(width):
-            table.setdefault(cur.coeffs, j)
-            cur = cur * gamma
-        cache[key] = (table, (gamma**width).inv())
-    table, giant = cache[key]
-    y = h
+    width = len(table)  # gamma has order ell >= w, so the w baby steps differ
     for i in range(width + 1):
-        j = table.get(y.coeffs)
-        if j is not None:
-            return (i * width + j) % ell
-        y = y * giant
+        if h.coeffs in table:
+            return (i * width + table[h.coeffs]) % ell
+        h = h * giant
     raise NotInSubgroup("no discrete log in the cyclic group generated by base")
 
 
-def _order_of_base(base: FieldElem, factors: dict[int, int] | None):
-    """The order m of base and the sorted prime powers of m.  Without
-    caller-given factors they are kept in the context, for the newest
-    ORDER_CACHE_LIMIT bases."""
-    if factors is not None:
-        m = element_order(base, factors)
-        return m, sorted(factorint(m).items())
-    cache = base.ctx._cache.setdefault("order", {})
-    hit = cache.get(base.coeffs)
-    if hit is None:
-        m = element_order(base)
-        hit = cache[base.coeffs] = (m, sorted(factorint(m).items()))
-        if len(cache) > ORDER_CACHE_LIMIT:
-            del cache[next(iter(cache))]
-    return hit
-
-
-def discrete_log(base: FieldElem, target: FieldElem,
-                 factors: dict[int, int] | None = None) -> int:
+def discrete_log(base: FieldElem, target, factors: dict[int, int] | None = None) -> int:
     """Exact discrete log: the least x >= 0 with base^x = target.
 
     Pohlig-Hellman over the factorization of the order of ``base``, with
-    baby-step giant-step inside each prime subgroup.  Raises
-    NotInSubgroup when target is outside the cyclic group generated by
-    base; never returns a wrong answer.
+    baby-step giant-step inside each prime subgroup; target is coerced
+    into the field of base.  Raises NotInSubgroup when target is outside
+    the cyclic group generated by base; never returns a wrong answer.
     """
+    target = base.ctx.elem(target)
     if base.is_zero() or target.is_zero():
         raise ZeroElement("discrete logs live in the multiplicative group")
-    ctx = base.ctx
-    m, m_factors = _order_of_base(base, factors)
+    m, steps = _log_plan(base, factors)
     if target**m != 1:
         raise NotInSubgroup("target is not a power of base")
-    residues = []
-    for prime, exp in m_factors:
-        pe = prime**exp
-        gamma = base ** (m // prime)
-        x_pe = 0
-        for j in range(exp):
-            h = (target * (base ** (-x_pe))) ** (m // prime ** (j + 1))
-            d = _bsgs(ctx, gamma, h, prime)
-            x_pe += d * prime**j
-        residues.append((x_pe, pe))
     x, mod = 0, 1
-    for r, pe in residues:
-        # combine x (mod mod) with r (mod pe)
-        delta = (r - x) % pe
-        step = pow(mod % pe, -1, pe) if pe > 1 else 0
-        x += mod * (delta * step % pe)
+    for ell, k, table, giant in steps:
+        x_pe = 0
+        for j in range(k):
+            h = (target * (base ** (-x_pe))) ** (m // ell ** (j + 1))
+            x_pe += _bsgs(table, giant, h, ell) * ell**j
+        # combine x (mod mod) with x_pe (mod ell^k)
+        pe = ell**k
+        x += mod * ((x_pe - x) * pow(mod, -1, pe) % pe)
         mod *= pe
-    x %= mod
     if base**x != target:
         raise NotInSubgroup("pohlig-hellman reconstruction failed membership")
     return x

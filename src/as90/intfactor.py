@@ -35,6 +35,17 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
+def least_divisor(e: int, primes, holds) -> int:
+    """The c dividing e for which holds(d) means that c divides d (an
+    order, a degree, a period), given holds(e) and the primes of e: each
+    prime is divided out while holds stays true (Pohlig & Hellman, 1978).
+    """
+    for ell in primes:
+        while e % ell == 0 and holds(e // ell):
+            e //= ell
+    return e
+
+
 def _pollard_rho(m: int) -> int:
     """A nontrivial factor of composite odd m."""
     if m % 2 == 0:

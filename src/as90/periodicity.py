@@ -3,9 +3,9 @@
 For z with trace one over the base subfield, the running partial sums
 x_i = z + sigma(z) + ... + sigma^{i-1}(z) repeat with period exactly
 p*e, where e is the degree of z over the base and p the characteristic.
-This module measures periods of stored sequences and checks the whole
-statement (period, divisibility by the p-part, nonvanishing between
-wrap-arounds) on live field data.
+The statement (period, divisibility by the p-part, nonvanishing between
+wrap-arounds) is checked from x_0 .. x_m, since d is a period exactly
+when x_d = 0; stored sequences are measured by comparing their terms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import BadInput, NoPeriodWithinBound, TraceNotOne
 from .fields import FieldElem, degree_over_subfield, frobenius, trace
-from .intfactor import p_part
+from .intfactor import factorint, least_divisor, p_part
 
 
 class PartialTraceSeq(Record):
@@ -57,19 +57,14 @@ def _is_period(seq, d: int) -> bool:
     return all(seq[i] == seq[i + d] for i in range(len(seq) - d))
 
 
-def _divisors(b: int) -> list[int]:
-    out = [d for d in range(1, b + 1) if b % d == 0]
-    return out
-
-
 def sequence_period(seq, bound: int) -> int:
     """Minimal d <= bound with seq[i] == seq[i+d] for all stored i.
 
     Needs at least 2*bound stored terms so minimality is decidable.
-    Divisors of the bound are tried first: whenever the bound itself is
-    a period (the situation the period statement guarantees), the
-    minimal period divides it and the divisor scan already answers.
-    The linear fallback covers sequences with no such guarantee.
+    Then the gcd of two periods up to the bound is one (Fine and Wilf),
+    so when the bound is a period the minimal one divides it and is
+    found by dividing primes out of the bound.  The linear fallback
+    covers sequences with no such guarantee.
     """
     if bound < 1:
         raise BadInput("period bound must be positive")
@@ -77,9 +72,9 @@ def sequence_period(seq, bound: int) -> int:
         raise BadInput(
             f"need at least {2 * bound} terms to certify a period bound of {bound}"
         )
-    for d in _divisors(bound):
-        if _is_period(seq, d):
-            return d
+    if _is_period(seq, bound):
+        return least_divisor(bound, factorint(bound), lambda d: _is_period(seq, d))
+    # a divisor of the bound that is a period would make the bound one
     for d in range(2, bound):
         if bound % d != 0 and _is_period(seq, d):
             return d
@@ -97,6 +92,20 @@ def partial_trace_terms(z: FieldElem, length: int, k: int = 1) -> list[FieldElem
     return terms
 
 
+def partial_sum_period(z: FieldElem) -> int:
+    """Least period of x_i = sum_{j<i} sigma^j(z), from x_0 .. x_m.
+
+    x_{i+d} - x_i = sigma^i(x_d), so the periods are the zeros of x.
+    sigma^m is the identity, so x_d = x_{d mod m} + floor(d/m) x_m, and
+    p*m is a period: the period is the least divisor of p*m with x_d = 0.
+    """
+    p, m = z.ctx.p, z.ctx.m
+    terms = partial_trace_terms(z, m + 1)
+    return least_divisor(
+        p * m, factorint(p * m), lambda d: (terms[d % m] + (d // m) * terms[m]).is_zero()
+    )
+
+
 def verify_period_theorem(z: FieldElem) -> PeriodReport:
     """Measure the period of the partial-trace sequence of z and compare
     with the predicted value p*e.
@@ -104,7 +113,8 @@ def verify_period_theorem(z: FieldElem) -> PeriodReport:
     Requires trace(z) = 1 over the designated subfield.  The report
     records e = deg(z) over that subfield, the p-part of the extension
     degree (which must divide e), the measured period, and whether all
-    interior terms x_l (0 < l < p*e) are nonzero.
+    interior terms x_l (0 < l < p*e) are nonzero: the period is the least
+    d with x_d = 0 and divides p*e, as x_{pe} = p*x_e = 0.
     """
     ctx = z.ctx
     if trace(z, ctx.f) != 1:
@@ -113,10 +123,9 @@ def verify_period_theorem(z: FieldElem) -> PeriodReport:
     e = degree_over_subfield(z, ctx.f)
     n_p = p_part(ctx.m, p)
     expected = p * e
-    terms = partial_trace_terms(z, 2 * expected)
-    period = sequence_period(terms, expected)
-    interior = all(not terms[l].is_zero() for l in range(1, expected))
-    passed = period == expected and e % n_p == 0 and interior
+    period = partial_sum_period(z)
+    interior = period == expected
+    passed = interior and e % n_p == 0
     return PeriodReport(
         e=e,
         n_p=n_p,

@@ -403,9 +403,13 @@ def test_optimized_interpreter_same_output():
         assert json.loads(plain.stdout)["verified"] is True
     # arithmetic mod a fixed polynomial: equal-degree splitting (cyclotomic),
     # the order of t mod each candidate (bigsearch) and every table check
+    # the period statement, whose guards read the zeros of the partial sums
     for argv in (("cyclotomic", "--r", "257", "--p", "2", "--json"),
                  ("bigsearch", "--e", "16", "--json"),
-                 ("table", "--regen", "--json")):
+                 ("table", "--regen", "--json"),
+                 ("period", "--p", "2", "--n", "4", "--z", "t", "--json"),
+                 ("period", "--p", "3", "--n", "6", "--seed", "5", "--json"),
+                 ("period", "--p", "4294967291", "--n", "2", "--json")):
         plain = run_process(*argv)
         optimized = run_process(*argv, flags=("-O",))
         assert plain.returncode == optimized.returncode == 0, argv
@@ -497,6 +501,22 @@ def test_huge_exponent_in_element_text_is_reduced():
     small = run_process("root", "--p", "2", "--n", "8", "--y", "t^160", "--json")
     assert huge.returncode == small.returncode == 0, huge.stderr
     assert huge.stdout == small.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("period", "--p", "4294967291", "--n", "2"),
+    ("period", "--p", "18446744073709551557", "--n", "1"),
+    ("root", "--p", "4294967291", "--n", "2", "--y", "0", "--method", "prime-r", "--r", "3"),
+])
+def test_period_at_huge_primes(argv):
+    # the period p*e is read off m + 1 partial sums, never 2*p*e stored ones
+    proc = run_process(*argv, "--json", timeout=60, address_space=2**30)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    if argv[0] == "period":
+        assert payload["period"] == int(argv[2]) and payload["pass"] is True
+    else:
+        assert payload["method"] == "prime_r" and payload["verified"] is True
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from as90.errors import (
+    BadInput,
     BadSubfieldStep,
     CtxMismatch,
     DivisionByZero,
@@ -17,6 +18,7 @@ from as90.errors import (
     NotPrime,
     OrderTooLarge,
     ReducibleModulus,
+    ZeroElement,
 )
 from as90 import fields
 from as90.artin_schreier import find_zeta
@@ -396,8 +398,34 @@ def test_discrete_log_order_cache_is_bounded(monkeypatch):
         assert discrete_log(b, b ** 9) == 9
         assert len(ctx._cache["order"]) <= 2
     assert list(ctx._cache["order"]) == [b.coeffs for b in bases[-2:]]
+    # the bounded plans are the only log tables the context keeps
+    assert set(ctx._cache) == {"kernel", "order"}
     # an evicted base is worked out again, with the same answer
     assert discrete_log(g, g ** 200) == 200
+
+
+def test_caller_factors_must_factor_the_group_order():
+    # GF(3^4): the generator has order 40, not 80, and {5: 1} is not
+    # the factorization of 80
+    g = make_ctx(3, 4, modulus="t^4+t^3+t^2+1").gen()
+    assert element_order(g) == element_order(g, {2: 4, 5: 1}) == 40
+    assert discrete_log(g, g ** 3, {2: 4, 5: 1}) == 3
+    for factors in ({5: 1}, {2: 3, 5: 1}, {4: 2, 5: 1}, {80: 1}, {}):
+        with pytest.raises(BadInput):
+            element_order(g, factors)
+        with pytest.raises(BadInput):
+            discrete_log(g, g ** 3, factors)
+
+
+def test_discrete_log_coerces_its_target():
+    g = make_ctx(3, 4, modulus="t^4+t^3+t^2+1").gen()
+    assert discrete_log(g, 1) == 0
+    assert discrete_log(g, 2) == 20  # -1 = g^(40/2)
+    assert discrete_log(g, "t") == 1
+    with pytest.raises(CtxMismatch):
+        discrete_log(g, make_ctx(2, 4).gen())
+    with pytest.raises(ZeroElement):
+        discrete_log(g, 3)
 
 
 def test_make_ctx_cache_is_bounded():

@@ -3,7 +3,7 @@
 import pytest
 
 from as90.errors import FactorizationTooHard
-from as90.intfactor import factorint
+from as90.intfactor import factorint, least_divisor
 
 #: m -> factorint(m) as (prime, exponent) pairs in the order returned by
 #: the factorizer that trial-divided up to 10^6 before any primality
@@ -57,3 +57,24 @@ def test_factorint_small_and_refused():
         factorint(2**64 + 1)
     with pytest.raises(ValueError):
         factorint(0)
+
+
+
+def test_least_divisor_matches_brute_force():
+    # holds(d) is "c divides d": the descent from e ends at the least
+    # divisor that holds, asks about divisors of e only, and does not
+    # depend on the order of the primes
+    for e in range(1, 400):
+        primes = list(factorint(e))
+        divisors = [d for d in range(1, e + 1) if e % d == 0]
+        for c in divisors:
+            asked = []
+
+            def holds(d, c=c):
+                asked.append(d)
+                return d % c == 0
+
+            want = min(d for d in divisors if d % c == 0)
+            assert least_divisor(e, primes, holds) == want
+            assert least_divisor(e, primes[::-1], holds) == want
+            assert all(e % d == 0 for d in asked)

@@ -8,12 +8,23 @@ import pytest
 from as90.errors import NoPeriodWithinBound, TraceNotOne
 from as90.fields import frobenius, make_ctx, subfield_embed, trace
 from as90.hilbert90 import find_trace_one
+from as90.intfactor import p_part
 from as90.periodicity import (
     PartialTraceSeq,
+    partial_sum_period,
     partial_trace_terms,
     sequence_period,
     verify_period_theorem,
 )
+
+
+def naive_period(seq, bound):
+    """Reference: the least d <= bound with seq[i] == seq[i + d] over
+    the whole stored prefix, by a linear scan; None when there is none."""
+    for d in range(1, bound + 1):
+        if all(seq[i] == seq[i + d] for i in range(len(seq) - d)):
+            return d
+    return None
 
 
 # -- sequence_period on synthetic data ----------------------------------------
@@ -49,6 +60,26 @@ def test_period_of_prefix_not_tail():
     seq = [0, 1, 0, 1, 0, 1, 0, 2]
     with pytest.raises(NoPeriodWithinBound):
         sequence_period(seq, 4)
+
+
+def test_sequence_period_matches_linear_scan():
+    # random sequences: periods that do and do not divide the bound,
+    # bounds that are not periods, and prefixes broken late
+    rng = Random(34)
+    for _ in range(400):
+        period = rng.randrange(1, 13)
+        pattern = [rng.randrange(3) for _ in range(period)]
+        bound = rng.randrange(1, 25)
+        length = 2 * bound + rng.randrange(4)
+        seq = [pattern[i % period] for i in range(length)]
+        if rng.random() < 0.3:
+            seq[rng.randrange(length)] = 3
+        want = naive_period(seq, bound)
+        if want is None:
+            with pytest.raises(NoPeriodWithinBound):
+                sequence_period(seq, bound)
+        else:
+            assert sequence_period(seq, bound) == want, (seq, bound)
 
 
 # -- partial_trace_terms -------------------------------------------------------
@@ -143,3 +174,29 @@ def test_relative_extension_period():
     assert rep.n_p == 4  # p-part of m = 4 over p = 2
     assert rep.period == 2 * wit.e
     assert rep.passed
+
+
+# -- partial_sum_period against stored terms -----------------------------------
+
+@pytest.mark.parametrize("p,n,f", [
+    (2, 4, 1), (2, 6, 1), (2, 8, 2), (2, 12, 1), (3, 6, 1), (3, 9, 1), (3, 12, 2),
+    (5, 5, 1), (5, 10, 1), (5, 4, 2), (7, 7, 1), (7, 4, 2),
+    (65521, 1, 1), (65521, 2, 1), (65521, 2, 2),
+])
+def test_partial_sum_period_matches_stored_scan(p, n, f):
+    # p*m is always a period, so 2*p*m stored terms decide the period;
+    # every witness degree find_trace_one offers, then random z of any
+    # trace (the period is p*deg z when the trace is nonzero; at p = 65521
+    # the witnesses already take seconds)
+    ctx = make_ctx(p, n, f=f)
+    m, m_p = ctx.m, p_part(ctx.m, p)
+    rng = Random(35 + p + n + f)
+    zs = [find_trace_one(ctx, target_e=e, randomize=True, seed=rng.randrange(2**30)).z
+          for e in range(m_p, m + 1, m_p) if m % e == 0]
+    zs += [ctx.random_element(rng) for _ in range(3 if p < 100 else 0)]
+    for z in zs:
+        terms = [x.coeffs for x in partial_trace_terms(z, 2 * p * m)]
+        want = naive_period(terms, p * m)
+        assert partial_sum_period(z) == want, (z, want)
+        if trace(z, f) == 1:
+            assert want == verify_period_theorem(z).period
