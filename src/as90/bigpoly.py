@@ -29,6 +29,15 @@ from .polys import (
     is_prime,
 )
 
+#: Largest cyclotomic degree r - 1 that ``cyclotomic_prime`` builds.  The
+#: polynomial is stored densely, and splitting it takes about a second at
+#: degree 700 and grows roughly with the cube of the degree.
+CYCLOTOMIC_DEGREE_LIMIT = 2**12
+#: Largest degree ``tensor_product`` builds.  Its characteristic
+#: polynomial is that of a dense square matrix of this size, about two
+#: seconds at degree 256 over F_2.
+TENSOR_DEGREE_LIMIT = 2**8
+
 #: Reference rows: two-part of the degree -> (symbol for z, minimal
 #: polynomial of z over F_2).  Each z is a big primitive root whose
 #: partial-trace sequence has period twice the degree.
@@ -39,15 +48,6 @@ from .polys import (
 #: z + z^2 has order 21845 there, not a power of z at all).  Exactly
 #: one big primitive degree-16 polynomial is consistent with all
 #: fifteen reference exponents: t^16+t^15+t^4+t+1, used here.
-#: Largest cyclotomic degree r - 1 that ``cyclotomic_prime`` builds.  The
-#: polynomial is stored densely, and splitting it takes about a second at
-#: degree 700 and grows roughly with the cube of the degree.
-CYCLOTOMIC_DEGREE_LIMIT = 2**12
-#: Largest degree ``tensor_product`` builds.  Its characteristic
-#: polynomial is that of a dense square matrix of this size, about two
-#: seconds at degree 256 over F_2.
-TENSOR_DEGREE_LIMIT = 2**8
-
 TABLE_ROWS: dict[int, tuple[str, PrimePoly]] = {
     2: ("ω", PrimePoly.parse("t^2+t+1", 2)),
     4: ("α", PrimePoly.parse("t^4+t^3+1", 2)),

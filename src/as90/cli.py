@@ -9,8 +9,10 @@ and ``bigsearch`` hunts for a big primitive polynomial.
 
 Exit codes: 0 on success, 2 when a mathematical precondition fails
 (the diagnostic names it), 1 on internal errors.  All output is
-deterministic for fixed arguments; commands that draw randomness take
---seed (default 0) and echo it.
+deterministic for fixed arguments.  Every subcommand accepts --seed
+(default 0) and --elem-format; ``root`` and ``period`` echo the seed,
+and only ``root``, ``period`` and ``h90`` print field elements, so
+only their output depends on the format.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ field elements, and no polynomial over the field is ever divided.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt
 import operator
 from random import Random
 
@@ -503,14 +503,21 @@ def _trace_cols(ctx: FieldCtx, d: int):
     return cache[d]
 
 
+def _subfield_step(ctx: FieldCtx, d: int | None) -> int:
+    """d, or the designated step f when d is None, once it is checked to
+    be the degree of a subfield of ctx."""
+    d = ctx.f if d is None else d
+    if d < 1 or ctx.n % d != 0:
+        raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
+    return d
+
+
 def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
     """Trace of a from GF(p^n) onto the degree-``down_to`` subfield
     (default: the designated subfield GF(q)).  The result is returned as
     an element of the big field and always lands in that subfield."""
     ctx = a.ctx
-    d = ctx.f if down_to is None else down_to
-    if d < 1 or ctx.n % d != 0:
-        raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
+    d = _subfield_step(ctx, down_to)
     return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, _trace_cols(ctx, d)))
 
 
@@ -524,9 +531,7 @@ def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
     Frobenius power per prime factor rather than a walk along the orbit.
     """
     ctx = a.ctx
-    d = ctx.f if d is None else d
-    if d < 1 or ctx.n % d != 0:
-        raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
+    d = _subfield_step(ctx, d)
     kern, e = _kernel(ctx), ctx.n // d
     return least_divisor(e, factorint(e),
                          lambda k: kern.combine(a.coeffs, _frob_cols(ctx, d * k)) == a.coeffs)
@@ -535,9 +540,7 @@ def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
 def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
     """All elements of the degree-d subfield of ctx, sorted by
     coefficient tuple.  The subfield is the kernel of x^(p^d) - x."""
-    d = ctx.f if d is None else d
-    if d < 1 or ctx.n % d != 0:
-        raise BadSubfieldStep(f"no subfield of degree {d} inside degree {ctx.n}")
+    d = _subfield_step(ctx, d)
     if ctx.p**d > 2**20:
         raise FieldTooLarge(f"refusing to enumerate {ctx.p}^{d} subfield elements")
     key = ("subfield", d)
@@ -562,31 +565,23 @@ def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
 # -- multiplicative structure ------------------------------------------------
 
 
-def element_order(a: FieldElem, factors: dict[int, int] | None = None) -> int:
-    """Multiplicative order of a nonzero a; ``factors`` must factor p^n - 1."""
+def element_order(a: FieldElem) -> int:
+    """Multiplicative order of a nonzero a."""
     if a.is_zero():
         raise ZeroElement("zero has no multiplicative order")
     group = a.ctx.order - 1
-    if factors is None:
-        factors = factorint(group)
-    elif prod(ell**k for ell, k in factors.items()) != group or not all(map(is_prime, factors)):
-        raise BadInput(f"{factors} is not the prime factorization of {group}")
-    m = least_divisor(group, factors, lambda d: a**d == 1)
+    m = least_divisor(group, factorint(group), lambda d: a**d == 1)
     if a**m != 1:
         raise RuntimeError(f"computed order {m} does not annihilate {a}")
     return m
 
 
-def _log_plan(base: FieldElem, factors: dict[int, int] | None):
-    """(m, [(ell, k, table, giant)]): the order m of base, and for each
-    ell^k dividing m the baby steps {gamma^j: j < w}, w = ceil(sqrt(ell)),
-    of gamma = base^(m/ell) and the giant step gamma^-w (None for ell
-    above _BSGS_PRIME_LIMIT).  Without caller-given factors the plan is
-    kept in the context, for the newest ORDER_CACHE_LIMIT bases."""
-    cache = base.ctx._cache.setdefault("order", {})
-    if factors is None and base.coeffs in cache:
-        return cache[base.coeffs]
-    m = element_order(base, factors)
+def _log_plan(base: FieldElem, m: int):
+    """(m, [(ell, k, table, giant)]) for base of order m: for each ell^k
+    dividing m the baby steps {gamma^j: j < w}, w = ceil(sqrt(ell)), of
+    gamma = base^(m/ell) and the giant step gamma^-w (None for ell above
+    _BSGS_PRIME_LIMIT).  The plan is kept in the context, for the newest
+    ORDER_CACHE_LIMIT bases."""
     steps = []
     for ell, k in sorted(factorint(m).items()):
         table = giant = None
@@ -598,10 +593,10 @@ def _log_plan(base: FieldElem, factors: dict[int, int] | None):
                 cur = cur * gamma
             giant = (gamma**width).inv()
         steps.append((ell, k, table, giant))
-    if factors is None:
-        cache[base.coeffs] = (m, steps)
-        if len(cache) > ORDER_CACHE_LIMIT:
-            del cache[next(iter(cache))]
+    cache = base.ctx._cache.setdefault("order", {})
+    cache[base.coeffs] = (m, steps)
+    if len(cache) > ORDER_CACHE_LIMIT:
+        del cache[next(iter(cache))]
     return m, steps
 
 
@@ -617,20 +612,23 @@ def _bsgs(table: dict | None, giant: FieldElem, h: FieldElem, ell: int) -> int:
     raise NotInSubgroup("no discrete log in the cyclic group generated by base")
 
 
-def discrete_log(base: FieldElem, target, factors: dict[int, int] | None = None) -> int:
+def discrete_log(base: FieldElem, target) -> int:
     """Exact discrete log: the least x >= 0 with base^x = target.
 
     Pohlig-Hellman over the factorization of the order of ``base``, with
     baby-step giant-step inside each prime subgroup; target is coerced
     into the field of base.  Raises NotInSubgroup when target is outside
     the cyclic group generated by base; never returns a wrong answer.
+    Membership is checked before the plan of a new base is built.
     """
     target = base.ctx.elem(target)
     if base.is_zero() or target.is_zero():
         raise ZeroElement("discrete logs live in the multiplicative group")
-    m, steps = _log_plan(base, factors)
+    plan = base.ctx._cache.get("order", {}).get(base.coeffs)
+    m = plan[0] if plan else element_order(base)
     if target**m != 1:
         raise NotInSubgroup("target is not a power of base")
+    m, steps = plan or _log_plan(base, m)
     x, mod = 0, 1
     for ell, k, table, giant in steps:
         x_pe = 0
@@ -807,11 +805,7 @@ def subfield_embed(a: FieldElem, target: FieldCtx) -> FieldElem:
         raise NoEmbedding("different characteristics")
     if target.n % src.n != 0:
         raise NoEmbedding(f"degree {src.n} does not divide {target.n}")
-    theta = _embedding_image(src, target)
-    acc = target.zero()
-    for c in reversed(a.coeffs):
-        acc = acc * theta + target.elem(c)
-    return acc
+    return _at(a.to_poly(), _embedding_image(src, target))
 
 
 def subfield_section(a: FieldElem, sub: FieldCtx) -> FieldElem:

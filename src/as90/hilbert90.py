@@ -38,7 +38,7 @@ from .fields import (
     trace,
 )
 from .intfactor import p_part
-from .periodicity import PartialTraceSeq, partial_trace_terms, sequence_period
+from .periodicity import PartialTraceSeq, partial_sum_period, partial_trace_terms
 
 __all__ = [
     "TraceOneWitness",
@@ -106,77 +106,73 @@ def find_trace_one(
     default degree the witness is the least z, by coefficient tuple, in
     the fixed field K of sigma^{n_p} with trace (n_p')^{-1} onto F: the
     least solution of a linear system, by one row reduction.  Its degree
-    is n_p, as the trace onto F vanishes on each proper subfield of K.
-    Larger degrees (multiples of n_p dividing the extension degree) use
-    seeded rejection sampling: draw zeta in the degree-target subfield,
-    reject on wrong degree or vanishing trace, return zeta scaled by its
-    inverse trace.
+    is n_p, as the trace onto F vanishes on each proper subfield of K;
+    for n_p = 1 it is the scalar 1/m.  Larger degrees (multiples of n_p
+    dividing the extension degree), and any degree with ``randomize``,
+    use seeded rejection sampling: draw zeta in the degree-target
+    subfield, reject on wrong degree or vanishing trace, return zeta
+    scaled by its inverse trace.  Either witness is built in that
+    subfield and embedded into ctx once.
     """
     p, m = ctx.p, ctx.m
     m_p = p_part(m, p)
-    m_rest = m // m_p
     target = m_p if target_e is None else target_e
     if target < 1 or target % m_p != 0 or m % target != 0:
         raise NoSuchDegree(
             f"witness degrees over the base are the multiples of {m_p} dividing {m}; "
             f"got {target}"
         )
-    if target == m_p and not randomize:
-        inv = pow(m_rest % p, -1, p)
-        if m_p == 1:
-            z = ctx.elem(inv)
-        else:
-            sub = ctx if ctx.f * m_p == ctx.n else make_ctx(p, ctx.f * m_p, f=ctx.f)
-            want = sub.elem(inv)
+    solved = target == m_p and not randomize
+    scale = (m // target) % p  # m / target divides m / m_p, prime to p
+    if solved and m_p == 1:
+        z = ctx.elem(pow(scale, -1, p))
+    else:
+        sub = ctx if ctx.f * target == ctx.n else make_ctx(p, ctx.f * target, f=ctx.f)
+        if solved:
+            want = sub.elem(pow(scale, -1, p))
             cols = [_kernel(sub).unpack(c, sub.n) for c in _trace_cols(sub, sub.f)]
             # reversed, the free coordinates set to 0 are the lowest possible
             combo = solve_in_span(cols[::-1], want.coeffs, p)
             z0 = sub.elem((combo or ())[::-1])  # no solution gives 0, refused below
             if trace(z0, sub.f) != want or degree_over_subfield(z0, sub.f) != m_p:
                 raise RuntimeError(f"no trace-one witness of degree {m_p} in {sub.describe()}")
-            z = z0 if sub is ctx else subfield_embed(z0, ctx)
-        provenance = "deterministic-subfield"
-    else:
-        rng = Random(seed)
-        sub = ctx if ctx.f * target == ctx.n else make_ctx(p, ctx.f * target, f=ctx.f)
-        scale = (m // target) % p
-        z0 = None
-        for _ in range(64):
-            zeta = sub.random_element(rng)
-            if zeta.is_zero():
-                continue
-            if degree_over_subfield(zeta, sub.f) != target:
-                continue
-            tau = trace(zeta, sub.f) * scale
-            if tau.is_zero():
-                continue
-            z0 = zeta / tau
-            break
-        if z0 is None:
-            raise RandomRetriesExhausted(
-                f"no usable witness after 64 draws (seed {seed})"
-            )
+        else:
+            rng = Random(seed)
+            for _ in range(64):
+                zeta = sub.random_element(rng)
+                if zeta.is_zero() or degree_over_subfield(zeta, sub.f) != target:
+                    continue
+                tau = trace(zeta, sub.f) * scale
+                if not tau.is_zero():
+                    z0 = zeta / tau
+                    break
+            else:
+                raise RandomRetriesExhausted(
+                    f"no usable witness after 64 draws (seed {seed})"
+                )
         z = z0 if sub is ctx else subfield_embed(z0, ctx)
-        provenance = f"random-scaled(seed={seed})"
     if trace(z, ctx.f) != 1:
         raise RuntimeError(f"witness {z} does not have trace 1")
+    provenance = "deterministic-subfield" if solved else f"random-scaled(seed={seed})"
     return TraceOneWitness(z=z, e=target, provenance=provenance)
 
 
 def partial_trace_sequence(z: FieldElem, length: int | None = None, k: int = 1) -> PartialTraceSeq:
-    """Partial sums x_i = sum_{j<i} sigma^{jk}(z), packaged with their
-    measured period when enough terms are stored (2*p*e suffices)."""
+    """The first ``length`` partial sums x_i = sum_{j<i} sigma^{jk}(z),
+    packaged with their period.
+
+    x_0 .. x_m determine every other term, so ``length`` defaults to
+    m + 1, and the period is read off those terms
+    (``partial_sum_period``) however many are stored.
+    """
     ctx = z.ctx
     _check_generator(ctx, k)
-    e = degree_over_subfield(z, ctx.f)
-    bound = ctx.p * e
     if length is None:
-        length = 2 * bound
+        length = ctx.m + 1
     if length < 1:
         raise BadInput("need at least one term")
-    terms = partial_trace_terms(z, length, k)
-    period = sequence_period(terms, bound) if length >= 2 * bound else None
-    return PartialTraceSeq(terms=terms, p=ctx.p, e=e, period=period)
+    return PartialTraceSeq(terms=partial_trace_terms(z, length, k), p=ctx.p,
+                           e=degree_over_subfield(z, ctx.f), period=partial_sum_period(z, k))
 
 
 def _r_raw(a: FieldElem, b: FieldElem, k: int = 1) -> FieldElem:
@@ -218,6 +214,13 @@ def r_form(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
     subfield.  The returned certificate has been re-verified, so
     ``checked`` is only ever True.
     """
+    _check_pair(y, z, k)
+    return _certified(y, z, k)
+
+
+def _check_pair(y: FieldElem, z: FieldElem, k: int):
+    """The preconditions of R(y, z): one context, sigma^k a generator,
+    trace(y) = 0 and trace(z) = 1 over the designated subfield."""
     ctx = y.ctx
     if z.ctx != ctx:
         raise CtxMismatch("y and z live in different contexts")
@@ -226,7 +229,6 @@ def r_form(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
         raise TraceNotZero("y has nonzero trace, so it is not a sigma-difference")
     if trace(z, ctx.f) != 1:
         raise TraceNotOne("witness z must have trace 1")
-    return _certified(y, z, k)
 
 
 def _certified(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
@@ -244,18 +246,11 @@ def r_symmetry_defect(y: FieldElem, z: FieldElem, k: int = 1) -> FieldElem:
     Both cocycle orientations are re-checked along the way:
     sigma R(y,z) - R(y,z) = y and R(z,y) - sigma R(z,y) = y.
     """
-    ctx = y.ctx
-    if z.ctx != ctx:
-        raise CtxMismatch("y and z must share the context")
-    _check_generator(ctx, k)
-    if not trace(y, ctx.f).is_zero():
-        raise TraceNotZero("antisymmetry is stated for trace-zero y")
-    if trace(z, ctx.f) != 1:
-        raise TraceNotOne("witness z must have trace 1")
+    _check_pair(y, z, k)
     ryz = _r_raw(y, z, k)
     rzy = _r_raw(z, y, k)
     if frobenius(ryz, k) - ryz != y:
         raise RuntimeError("forward cocycle identity failed")
     if rzy - frobenius(rzy, k) != y:
         raise RuntimeError("reversed cocycle identity failed")
-    return ryz + rzy + trace(y * z, ctx.f)
+    return ryz + rzy + trace(y * z, y.ctx.f)

@@ -17,11 +17,12 @@ from .intfactor import factorint, least_divisor, p_part
 
 
 class PartialTraceSeq(Record):
-    """A stored prefix of the sequence x_i = sum_{j<i} sigma^j(z)."""
+    """A stored prefix of the sequence x_i = sum_{j<i} sigma^{jk}(z),
+    with the period of the whole sequence."""
 
     __slots__ = _fields = ("terms", "p", "e", "period")
 
-    def __init__(self, terms: list, p: int, e: int, period: int | None):
+    def __init__(self, terms: list, p: int, e: int, period: int):
         self.terms, self.p, self.e, self.period = terms, p, e, period
 
     def __len__(self):
@@ -92,15 +93,16 @@ def partial_trace_terms(z: FieldElem, length: int, k: int = 1) -> list[FieldElem
     return terms
 
 
-def partial_sum_period(z: FieldElem) -> int:
-    """Least period of x_i = sum_{j<i} sigma^j(z), from x_0 .. x_m.
+def partial_sum_period(z: FieldElem, k: int = 1) -> int:
+    """Least period of x_i = sum_{j<i} sigma^{jk}(z), from x_0 .. x_m,
+    for k prime to m.
 
-    x_{i+d} - x_i = sigma^i(x_d), so the periods are the zeros of x.
-    sigma^m is the identity, so x_d = x_{d mod m} + floor(d/m) x_m, and
-    p*m is a period: the period is the least divisor of p*m with x_d = 0.
+    x_{i+d} - x_i = sigma^{ik}(x_d), so the periods are the zeros of x.
+    sigma^k has order m, so x_d = x_{d mod m} + floor(d/m) x_m, and p*m
+    is a period: the period is the least divisor of p*m with x_d = 0.
     """
     p, m = z.ctx.p, z.ctx.m
-    terms = partial_trace_terms(z, m + 1)
+    terms = partial_trace_terms(z, m + 1, k)
     return least_divisor(
         p * m, factorint(p * m), lambda d: (terms[d % m] + (d // m) * terms[m]).is_zero()
     )

@@ -409,6 +409,11 @@ def test_optimized_interpreter_same_output():
                  ("table", "--regen", "--json"),
                  ("period", "--p", "2", "--n", "4", "--z", "t", "--json"),
                  ("period", "--p", "3", "--n", "6", "--seed", "5", "--json"),
+                 # witness paths: sampled, built in a subfield with f > 1, scalar
+                 ("period", "--p", "3", "--n", "6", "--target-e", "6", "--randomize",
+                  "--seed", "3", "--json"),
+                 ("period", "--p", "3", "--n", "12", "--f", "2", "--json"),
+                 ("period", "--p", "2", "--n", "6", "--f", "2", "--json"),
                  ("period", "--p", "4294967291", "--n", "2", "--json")):
         plain = run_process(*argv)
         optimized = run_process(*argv, flags=("-O",))

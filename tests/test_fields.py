@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from as90.errors import (
-    BadInput,
     BadSubfieldStep,
     CtxMismatch,
     DivisionByZero,
@@ -404,21 +403,23 @@ def test_discrete_log_order_cache_is_bounded(monkeypatch):
     assert discrete_log(g, g ** 200) == 200
 
 
-def test_caller_factors_must_factor_the_group_order():
-    # GF(3^4): the generator has order 40, not 80, and {5: 1} is not
-    # the factorization of 80
-    g = make_ctx(3, 4, modulus="t^4+t^3+t^2+1").gen()
-    assert element_order(g) == element_order(g, {2: 4, 5: 1}) == 40
-    assert discrete_log(g, g ** 3, {2: 4, 5: 1}) == 3
-    for factors in ({5: 1}, {2: 3, 5: 1}, {4: 2, 5: 1}, {80: 1}, {}):
-        with pytest.raises(BadInput):
-            element_order(g, factors)
-        with pytest.raises(BadInput):
-            discrete_log(g, g ** 3, factors)
+def test_refused_log_builds_no_plan():
+    # g^65535 has order 65537, and g (primitive) is not one of its powers:
+    # the refusal comes before any baby-step table of the new base
+    ctx = fields.FieldCtx(2, 32, TABLE_ROWS[32][1])
+    g = ctx.gen()
+    with pytest.raises(NotInSubgroup):
+        discrete_log(g ** 65535, g)
+    assert not ctx._cache.get("order")
+    assert discrete_log(g ** 65535, g ** (3 * 65535)) == 3
+    assert list(ctx._cache["order"]) == [(g ** 65535).coeffs]
 
 
 def test_discrete_log_coerces_its_target():
+    # GF(3^4): the generator has order 40, not 80
     g = make_ctx(3, 4, modulus="t^4+t^3+t^2+1").gen()
+    assert element_order(g) == 40
+    assert discrete_log(g, g ** 3) == 3
     assert discrete_log(g, 1) == 0
     assert discrete_log(g, 2) == 20  # -1 = g^(40/2)
     assert discrete_log(g, "t") == 1

@@ -205,6 +205,32 @@ def test_find_trace_one_randomized_deterministic_per_seed():
     assert "seed=9" in a.provenance
 
 
+#: find_trace_one's (z, e, provenance) by (p, n, f, target_e, randomize,
+#: seed): solved and sampled witnesses, f = 1 and f > 1, the scalar
+#: witness of m_p = 1, and witnesses built in a proper subfield.
+PINNED_WITNESSES = [
+    ((2, 4, 1, None, False, 0), ("t^3", 4, "deterministic-subfield")),
+    ((2, 6, 1, None, False, 0), ("t^5+t^4+t^3", 2, "deterministic-subfield")),
+    ((3, 6, 1, None, False, 0), ("2t^3+2t^2+t+2", 3, "deterministic-subfield")),
+    ((3, 12, 2, None, False, 0), ("t^10+2t^9+t^5+t^4+t^3+2t^2+t", 3, "deterministic-subfield")),
+    ((2, 8, 2, None, False, 0), ("t^6", 4, "deterministic-subfield")),
+    ((2, 6, 2, None, False, 0), ("1", 1, "deterministic-subfield")),
+    ((5, 3, 1, None, False, 0), ("2", 1, "deterministic-subfield")),
+    ((3, 6, 1, 6, True, 3), ("t^5+2t^4+t^2+t", 6, "random-scaled(seed=3)")),
+    ((3, 6, 1, 3, True, 5), ("2t^5+2t^4+2t^3+2t^2", 3, "random-scaled(seed=5)")),
+    ((2, 6, 2, 1, True, 2), ("1", 1, "random-scaled(seed=2)")),
+    ((2, 6, 2, 3, False, 0), ("t^5+t^4+t^3+t+1", 3, "random-scaled(seed=0)")),
+    ((3, 12, 2, 6, False, 7), ("2t^11+2t^9+t^8+2t^6+2t^3+t^2+1", 6, "random-scaled(seed=7)")),
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_WITNESSES)
+def test_find_trace_one_pinned_witnesses(args, want):
+    p, n, f, target_e, randomize, seed = args
+    wit = find_trace_one(make_ctx(p, n, f=f), target_e=target_e, seed=seed, randomize=randomize)
+    assert (str(wit.z), wit.e, wit.provenance) == want
+
+
 def scan_witness(ctx):
     """The deterministic witness as a scan of the fixed field K of
     sigma^{m_p} finds it: the first element of K, in ``elements_lex``
@@ -267,6 +293,15 @@ def test_partial_trace_sequence_prime_field():
     seq = partial_trace_sequence(ctx.one(), length=6)
     assert [int(x.coeffs[0]) for x in seq.terms] == [0, 1, 2, 0, 1, 2]
     assert seq.period == 3
+
+
+def test_partial_trace_sequence_stores_only_what_it_is_asked():
+    # x_0 and x_1 determine the rest, so a huge p stores two terms
+    ctx = make_ctx(65521, 1)
+    seq = partial_trace_sequence(ctx.one())
+    assert list(seq.terms) == [ctx.zero(), ctx.one()]
+    assert seq.period == 65521 and seq.e == 1
+    assert len(partial_trace_sequence(ctx.one(), length=5)) == 5
 
 
 def test_partial_trace_sequence_x4_x8():

@@ -1,13 +1,14 @@
 """Period measurement for partial-trace sequences and the p*e period
 statement for trace-one witnesses."""
 
+import math
 from random import Random
 
 import pytest
 
 from as90.errors import NoPeriodWithinBound, TraceNotOne
 from as90.fields import frobenius, make_ctx, subfield_embed, trace
-from as90.hilbert90 import find_trace_one
+from as90.hilbert90 import find_trace_one, partial_trace_sequence
 from as90.intfactor import p_part
 from as90.periodicity import (
     PartialTraceSeq,
@@ -200,3 +201,8 @@ def test_partial_sum_period_matches_stored_scan(p, n, f):
         assert partial_sum_period(z) == want, (z, want)
         if trace(z, f) == 1:
             assert want == verify_period_theorem(z).period
+        # sigma^k for every k prime to m: its own sums, the same rule
+        for k in (k for k in range(1, m + 1) if math.gcd(k, m) == 1):
+            terms = [x.coeffs for x in partial_trace_terms(z, 2 * p * m, k)]
+            want = naive_period(terms, p * m)
+            assert partial_trace_sequence(z, k=k).period == want, (z, k, want)
