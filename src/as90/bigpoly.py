@@ -12,6 +12,8 @@ certified.
 
 from __future__ import annotations
 
+from math import gcd
+from operator import mul
 from random import Random
 
 from ._record import Record
@@ -22,7 +24,6 @@ from .polys import (
     PrimePoly,
     _Reducer,
     _count_vectors,
-    _packer,
     _trimmed,
     equal_degree_split,
     is_irreducible,
@@ -33,9 +34,9 @@ from .polys import (
 #: polynomial is stored densely, and splitting it takes about a second at
 #: degree 700 and grows roughly with the cube of the degree.
 CYCLOTOMIC_DEGREE_LIMIT = 2**12
-#: Largest degree ``tensor_product`` builds.  Its characteristic
-#: polynomial is that of a dense square matrix of this size, about two
-#: seconds at degree 256 over F_2.
+#: Largest degree ``tensor_product`` builds.  Recovering the product
+#: from its power sums takes about N^2/2 products of residues, about
+#: 10 ms at degree 256.
 TENSOR_DEGREE_LIMIT = 2**8
 
 #: Reference rows: two-part of the degree -> (symbol for z, minimal
@@ -106,18 +107,28 @@ def cyclotomic_prime(r: int, p: int) -> PrimePoly:
 
 
 def cyclotomic(m: int, p: int) -> PrimePoly:
-    """The m-th cyclotomic polynomial reduced mod p, by dividing t^m - 1
-    through the lower cyclotomics.  Cross-check constructor; the prime
-    case has the direct all-ones form."""
+    """The m-th cyclotomic polynomial reduced mod p, from the Moebius
+    product Phi_m = prod_{d | m} (t^(m/d) - 1)^mu(d) with one exact
+    division.  Cross-check constructor; the prime case has the direct
+    all-ones form.  Indices above CYCLOTOMIC_DEGREE_LIMIT + 1 are refused."""
     if m < 1:
         raise BadInput("cyclotomic index must be positive")
-    num = PrimePoly(p, (-1,) + (0,) * (m - 1) + (1,))
-    if m == 1:
-        return num
-    den = PrimePoly.one(p)
-    for d in range(1, m):
-        if m % d == 0:
-            den = den * cyclotomic(d, p)
+    if m - 1 > CYCLOTOMIC_DEGREE_LIMIT:
+        raise OrderTooLarge(
+            f"cyclotomic index {m} needs t^{m} - 1, above degree {CYCLOTOMIC_DEGREE_LIMIT}"
+        )
+    num = den = PrimePoly.one(p)
+    # mu(d) is nonzero only on the squarefree d, the products of distinct primes of m
+    divisors = [(1, 1)]
+    for ell in factorint(m):
+        divisors += [(d * ell, -mu) for d, mu in divisors]
+    for d, mu in divisors:
+        k = m // d
+        factor = PrimePoly._of(p, (-1,) + (0,) * (k - 1) + (1,))
+        if mu == 1:
+            num = num * factor
+        else:
+            den = den * factor
     quo, rem = divmod(num, den)
     if not rem.is_zero():
         raise RuntimeError(f"t^{m} - 1 is not divisible by the lower cyclotomics over F_{p}")
@@ -143,10 +154,12 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     """The polynomial whose roots are the pairwise products of the roots
     of a and b, counted with multiplicity.
 
-    Computed exactly as lead(a)^deg(b) * lead(b)^deg(a) times the
-    characteristic polynomial of the Kronecker product of the two
-    companion matrices.  Degrees multiply; big times big stays big.
-    A product above TENSOR_DEGREE_LIMIT raises OrderTooLarge.
+    Computed as lead(a)^deg(b) * lead(b)^deg(a) times the monic product
+    read off its power sums: the k-th power sum of the products is
+    s_k(a) s_k(b), and Newton's identities go from coefficients to power
+    sums and back (Bostan, Flajolet, Salvy & Schost, "Fast computation
+    of special resultants", 2006).  Degrees multiply; big times big
+    stays big.  A product above TENSOR_DEGREE_LIMIT raises OrderTooLarge.
     """
     if a.is_zero() or b.is_zero():
         raise ZeroPolynomial("tensor products need nonzero polynomials")
@@ -159,70 +172,40 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     scale = pow(a.leading(), n, p) * pow(b.leading(), m, p) % p
     if m == 0 or n == 0:
         return PrimePoly._of(p, (scale,))
-    ca = _companion(a.monic())
-    cb = _companion(b.monic())
-    kron = [
-        [
-            ca[i1][j1] * cb[i2][j2] % p
-            for j1 in range(m)
-            for j2 in range(n)
-        ]
-        for i1 in range(m)
-        for i2 in range(n)
-    ]
-    return _charpoly(kron, p) * scale
+    big_n = m * n
+    # recovering the coefficients divides by 1 .. N, so work mod
+    # p^(1 + v_p(N!)) (Legendre's formula): each division by k loses only
+    # the p-part of k, and every coefficient stays right mod p
+    v, pk = 0, p
+    while pk <= big_n:
+        v += big_n // pk
+        pk *= p
+    mod = p ** (v + 1)
+    sums = [x * y % mod for x, y in zip(_power_sums(a.monic(), big_n, mod),
+                                        _power_sums(b.monic(), big_n, mod))]
+    # q_k, the coefficient of t^(N-k): k q_k = -sum_{i<k} q_i S_(k-i)
+    top = [1]
+    for k in range(1, big_n + 1):
+        x = -sum(map(mul, top, sums[k:0:-1])) % mod
+        g = gcd(k, mod)
+        top.append(x // g * pow(k // g, -1, mod) % mod)
+    return PrimePoly._of(p, top[::-1]) * scale
 
 
-def _companion(f: PrimePoly):
-    """Companion matrix of a monic polynomial."""
-    n = f.degree
-    p = f.p
-    mat = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        mat[i][i - 1] = 1
-    for i in range(n):
-        mat[i][n - 1] = -f[i] % p
-    return mat
-
-
-def _charpoly(mat, p: int) -> PrimePoly:
-    """det(tI - M) over F_p via Hessenberg reduction, O(n^3)."""
-    n = len(mat)
-    h = [row[:] for row in mat]
-    for k in range(n - 2):
-        piv = next((i for i in range(k + 1, n) if h[i][k] % p), None)
-        if piv is None:
-            continue
-        if piv != k + 1:
-            h[piv], h[k + 1] = h[k + 1], h[piv]
-            for row in h:
-                row[piv], row[k + 1] = row[k + 1], row[piv]
-        inv = pow(h[k + 1][k], -1, p)
-        for i in range(k + 2, n):
-            fac = h[i][k] * inv % p
-            if fac:
-                for j in range(k, n):
-                    h[i][j] = (h[i][j] - fac * h[k + 1][j]) % p
-                for r in range(n):
-                    h[r][k + 1] = (h[r][k + 1] + fac * h[r][i]) % p
-    # the recurrence charpoly_m = (t - h_mm) charpoly_(m-1) - sum_i c_i
-    # charpoly_(m-1-i) on packed coefficient vectors: a slot of row m sums
-    # its shifted predecessor and at most m products of residues, and
-    # each row is reduced mod p once
-    w, pack, unpack = _packer(p, n + 1)
-    bits = 8 * w
-    charpolys = [1]
-    for m in range(1, n + 1):
-        prev = charpolys[m - 1]
-        cur = (prev << bits) + -h[m - 1][m - 1] % p * prev
-        sub = 1
-        for i in range(1, m):
-            sub = sub * h[m - i][m - i - 1] % p
-            coef = h[m - 1 - i][m - 1] * sub % p
-            if coef:
-                cur += (p - coef) * charpolys[m - 1 - i]
-        charpolys.append(pack(unpack(cur, m + 1)))
-    return PrimePoly._of(p, unpack(charpolys[n], n + 1))
+def _power_sums(f: PrimePoly, count: int, mod: int) -> list[int]:
+    """The power sums s_0 .. s_count of the roots of the monic f, mod
+    ``mod``, by Newton's identities, which need no division:
+    s_k = -k c_(d-k) - sum_{0<i<min(k, d+1)} c_(d-i) s_(k-i)."""
+    d = f.degree
+    top = f.coeffs[::-1]  # top[i] is the coefficient of t^(d-i)
+    sums = [d % mod]
+    for k in range(1, count + 1):
+        j = min(k - 1, d)
+        x = sum(map(mul, top[1:j + 1], sums[k - 1:k - j - 1:-1]))
+        if k <= d:
+            x += k * top[k]
+        sums.append(-x % mod)
+    return sums
 
 
 def _order_of_t_is(f: PrimePoly, target: int, factors: dict[int, int]) -> bool:

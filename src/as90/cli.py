@@ -84,8 +84,7 @@ def fmt_elem(e: FieldElem, how: str) -> str:
 
 
 def _build_ctx(args) -> FieldCtx:
-    modulus = getattr(args, "modulus", None) or None
-    return make_ctx(args.p, args.n, modulus=modulus, f=getattr(args, "f", 1))
+    return make_ctx(args.p, args.n, modulus=args.modulus or None, f=args.f)
 
 
 def _emit(args, payload: dict, lines: list):
@@ -96,12 +95,11 @@ def _emit(args, payload: dict, lines: list):
             print(line)
 
 
-def _add_field_args(sub, with_f=True):
+def _add_field_args(sub):
     sub.add_argument("--p", type=int, required=True, help="characteristic")
     sub.add_argument("--n", type=int, required=True, help="degree over the prime field")
-    if with_f:
-        sub.add_argument("--f", type=int, default=1,
-                         help="subfield step: roots are sought for t^q-t-y with q=p^f")
+    sub.add_argument("--f", type=int, default=1,
+                     help="subfield step: roots are sought for t^q-t-y with q=p^f")
     sub.add_argument("--modulus", help="defining polynomial (default: lex-first irreducible)")
 
 

@@ -146,6 +146,34 @@ def test_cyclotomic_prime_refuses_huge_degree():
             cyclotomic_prime(r, 2)
 
 
+def _cyclotomic_by_division(m, p, memo):
+    """Reference: t^m - 1 divided by the cyclotomics of the proper divisors."""
+    if (m, p) not in memo:
+        den = PrimePoly.one(p)
+        for d in range(1, m):
+            if m % d == 0:
+                den = den * _cyclotomic_by_division(d, p, memo)
+        quo, rem = divmod(PrimePoly(p, (-1,) + (0,) * (m - 1) + (1,)), den)
+        assert rem.is_zero()
+        memo[m, p] = quo
+    return memo[m, p]
+
+
+def test_cyclotomic_matches_division_reference():
+    memo = {}
+    for p in (2, 3, 5, 7):
+        for m in range(1, 400):
+            assert cyclotomic(m, p) == _cyclotomic_by_division(m, p, memo), (m, p)
+
+
+def test_cyclotomic_refuses_index_above_limit():
+    limit = CYCLOTOMIC_DEGREE_LIMIT
+    assert cyclotomic(limit + 1, 2).degree == 16 * 240  # 4097 = 17 * 241
+    for m in (limit + 2, 10**12):
+        with pytest.raises(OrderTooLarge):
+            cyclotomic(m, 2)
+
+
 def test_cyclotomic_general_agrees_on_primes():
     for r, p in [(3, 2), (5, 3), (7, 5)]:
         assert cyclotomic(r, p) == cyclotomic_prime(r, p)
@@ -255,6 +283,102 @@ def test_tensor_refuses_degree_above_limit():
         tensor_product(PrimePoly.x(2, 17), PrimePoly.x(2, 16))
 
 
+def _reference_tensor(a, b):
+    """lead(a)^deg(b) lead(b)^deg(a) times the characteristic polynomial
+    of the Kronecker product of the companion matrices of a and b, by
+    Hessenberg reduction."""
+    p, m, n = a.p, a.degree, b.degree
+    scale = pow(a.leading(), n, p) * pow(b.leading(), m, p) % p
+    ca, cb = _companion(a.monic()), _companion(b.monic())
+    kron = [[ca[i1][j1] * cb[i2][j2] % p for j1 in range(m) for j2 in range(n)]
+            for i1 in range(m) for i2 in range(n)]
+    return _charpoly(kron, p) * scale
+
+
+def _companion(f):
+    n, p = f.degree, f.p
+    mat = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        mat[i][i - 1] = 1
+    for i in range(n):
+        mat[i][n - 1] = -f[i] % p
+    return mat
+
+
+def _charpoly(mat, p):
+    """det(tI - M) over F_p: reduce to upper Hessenberg form by
+    similarity, then expand along the last column row by row."""
+    n = len(mat)
+    h = [row[:] for row in mat]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k] % p), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            h[piv], h[k + 1] = h[k + 1], h[piv]
+            for row in h:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        inv = pow(h[k + 1][k], -1, p)
+        for i in range(k + 2, n):
+            fac = h[i][k] * inv % p
+            if fac:
+                for j in range(k, n):
+                    h[i][j] = (h[i][j] - fac * h[k + 1][j]) % p
+                for r in range(n):
+                    h[r][k + 1] = (h[r][k + 1] + fac * h[r][i]) % p
+    t = PrimePoly.x(p)
+    charpolys = [PrimePoly.one(p)]
+    for m in range(1, n + 1):
+        cur = (t - PrimePoly(p, (h[m - 1][m - 1],))) * charpolys[m - 1]
+        sub = 1
+        for i in range(1, m):
+            sub = sub * h[m - i][m - i - 1] % p
+            cur = cur - charpolys[m - 1 - i] * (h[m - 1 - i][m - 1] * sub)
+        charpolys.append(cur)
+    return charpolys[n]
+
+
+def _grid_factor(p, deg, rng):
+    """A random factor of degree deg: non-monic, with a repeated root or
+    a zero root, each some of the time."""
+    if deg == 0:
+        return PrimePoly(p, (rng.randrange(1, p),))
+    kind = rng.randrange(4)
+    f = _random_monic(p, deg, rng)
+    if kind == 1 and deg >= 2:  # a repeated root
+        root = PrimePoly(p, (rng.randrange(p), 1))
+        f = root * root * _random_monic(p, deg - 2, rng)
+    elif kind == 2:  # a zero root
+        f = PrimePoly.x(p) * _random_monic(p, deg - 1, rng)
+    if rng.randrange(2):
+        f = f * rng.randrange(1, p)
+    return f
+
+
+def test_tensor_matches_kronecker_reference_on_grid():
+    rng = Random(64)
+    for p in (2, 3, 5, 7, 65521, 2**61 - 1):
+        for m in range(13):
+            a = _grid_factor(p, m, rng)
+            b = _grid_factor(p, rng.randrange(13), rng)
+            assert tensor_product(a, b) == _reference_tensor(a, b), (a, b)
+
+
+def test_tensor_matches_reference_at_full_degree():
+    # N = 256 >= p: the coefficients are recovered mod 2^256
+    a, b = TABLE_ROWS[16][1], P("t^16+t^15+t^8+t+1")
+    out = tensor_product(a, b)
+    assert out.degree == TENSOR_DEGREE_LIMIT
+    assert out == _reference_tensor(a, b)
+
+
+def test_tensor_with_a_constant_is_a_constant():
+    # a constant has no roots; only the leading-coefficient scale is left
+    assert tensor_product(P("5", 7), P("3*t^2+1", 7)) == P("4", 7)  # 5^2
+    assert tensor_product(P("3*t^2+1", 7), P("5", 7)) == P("4", 7)
+    assert tensor_product(P("5", 7), P("6", 7)) == P("1", 7)
+
+
 def test_tensor_rejects_zero_and_mixed():
     with pytest.raises(ZeroPolynomial):
         tensor_product(PrimePoly.zero(2), P("t+1"))
@@ -276,6 +400,18 @@ def test_find_big_primitive_odd_characteristic():
     assert is_irreducible(out) and classify(out).is_big
     ctx = make_ctx(3, 2, modulus=out)
     assert element_order(ctx.gen()) == 8
+
+
+def test_find_big_primitive_degree_one():
+    # t + c has the root -c; the least c for which -c generates F_p^*
+    expected = {2: 1, 3: 1, 5: 2, 7: 2, 11: 3, 13: 2}
+    for p, c in expected.items():
+        brute = next(c for c in range(1, p)
+                     if len({pow(-c % p, k, p) for k in range(1, p)}) == p - 1)
+        assert brute == c
+        assert find_big_primitive(1, p) == PrimePoly(p, (c, 1))
+    with pytest.raises(NotFound):
+        find_big_primitive(1, 7, budget=1)
 
 
 def test_find_big_primitive_budget():

@@ -420,6 +420,17 @@ def test_optimized_interpreter_same_output():
         assert plain.returncode == optimized.returncode == 0, argv
         assert optimized.stdout == plain.stdout, argv
         assert json.loads(plain.stdout), argv
+    # tensor products from power sums: degree 256 >= p, so coefficients are
+    # recovered mod 2^256, and a large p, where they are recovered mod p
+    for argv, degree in ((("tensor", "--p", "2", "--a", "t^16+t^15+t^4+t+1",
+                           "--b", "t^16+t^15+t^8+t+1", "--json"), 256),
+                         (("tensor", "--p", "4294967291", "--a", "t^3+2*t+5",
+                           "--b", "3*t^2+t+7", "--json"), 6)):
+        plain = run_process(*argv)
+        optimized = run_process(*argv, flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0, argv
+        assert optimized.stdout == plain.stdout, argv
+        assert json.loads(plain.stdout)["degree"] == degree, argv
 
 
 def test_source_has_no_assert_statements():
