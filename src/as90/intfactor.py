@@ -2,14 +2,19 @@
 
 Trial division up to 10^4 strips small primes, and stops as soon as
 what is left passes a deterministic Miller-Rabin test, which runs first
-and again after each prime is stripped; a composite remainder is split
-by Pollard rho with Floyd's cycle detection.  Inputs above 2^64, the
-largest group order the field scale limit allows, are refused rather
-than attempted.
+and again after each prime is stripped.  Inputs above 2^64, the largest
+group order the field scale limit allows, are refused rather than
+attempted.  The primes are returned in ascending order.
 
-The order of the returned factors does not depend on where trial
-division stops: prime factors up to 10^6 come first, smallest first,
-and larger ones follow in the order rho splits them off.
+A composite that survives trial division is split by its algebraic
+factors first.  Group orders have the form m = r^k - 1, and r^d - 1
+divides m for every d dividing k (Brillhart et al., Factorizations of
+b^n +- 1, 1988), so a gcd with r^d - 1 splits off whole cyclotomic
+parts: 2^62 - 1 = 3 * 715827883 * 2147483647 loses 2^31 - 1 to one gcd.
+The form is found once, with integer k-th roots of m + 1, taking the
+least r.  Pollard rho with Floyd's cycle detection splits what no such
+gcd splits.  Any gcd strictly between 1 and a cofactor divides it, so
+the answer does not depend on the form being found.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .errors import BadInput, FactorizationTooHard
 from .polys import is_prime
 
 _TRIAL_LIMIT = 10**4
-_SORTED_LIMIT = 10**6
 _FACTOR_BOUND = 2**64
 
 
@@ -63,15 +67,46 @@ def _pollard_rho(m: int) -> int:
     raise FactorizationTooHard(f"pollard rho gave up on {m}")
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root of n >= 0: the largest r with r^k <= n."""
+    r = round(n ** (1.0 / k))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def _power_form(m: int):
+    """(r, k) with m = r^k - 1, k >= 2 and r least, or None."""
+    n = m + 1
+    for k in range(n.bit_length() - 1, 1, -1):
+        r = _iroot(n, k)
+        if r**k == n:
+            return r, k
+    return None
+
+
+def _algebraic_factors(m: int) -> list[int]:
+    """The r^d - 1 for the proper divisors d of k, when m = r^k - 1 with
+    k >= 2 and r least; none when m has no such form."""
+    form = _power_form(m)
+    if form is None:
+        return []
+    r, k = form
+    return [r**d - 1 for d in range(1, k) if k % d == 0]
+
+
 def factorint(m: int) -> dict[int, int]:
-    """Prime factorization of m >= 1 as {prime: exponent}; m above 2^64
-    raises FactorizationTooHard."""
+    """Prime factorization of m >= 1 as {prime: exponent}, the primes in
+    ascending order; m above 2^64 raises FactorizationTooHard."""
     if m < 1:
         raise BadInput("factorint needs a positive integer")
     if m > _FACTOR_BOUND:
         raise FactorizationTooHard(
             f"{m} exceeds the factorization ceiling {_FACTOR_BOUND}"
         )
+    whole = m
     out: dict[int, int] = {}
     d = 2
     prime_left = is_prime(m)
@@ -82,19 +117,19 @@ def factorint(m: int) -> dict[int, int]:
                 m //= d
             prime_left = is_prime(m)
         d += 1 if d == 2 else 2
-    stack, found = ([m] if m > 1 else []), []
+    stack, algebraic = ([m] if m > 1 else []), None
     while stack:
         v = stack.pop()
         if v == 1:
             continue
         if is_prime(v):
-            found.append(v)
+            out[v] = out.get(v, 0) + 1
             continue
-        f = _pollard_rho(v)
+        if algebraic is None:
+            algebraic = _algebraic_factors(whole)
+        f = next((g for g in (math.gcd(a, v) for a in algebraic) if 1 < g < v), None)
+        if f is None:
+            f = _pollard_rho(v)
         stack.append(f)
         stack.append(v // f)
-    # stable, so the factors above _SORTED_LIMIT keep the order rho found
-    found.sort(key=lambda q: min(q, _SORTED_LIMIT + 1))
-    for q in found:
-        out[q] = out.get(q, 0) + 1
-    return out
+    return dict(sorted(out.items()))

@@ -31,6 +31,13 @@ Packing and unpacking go through ``int.from_bytes`` and ``int.to_bytes``,
 so the inner loops run in C; over F_2 the residue of a slot is the parity
 of its lowest byte, so slots wider than a byte unpack in C as well.
 
+Over F_2, division and gcd skip the slots: a polynomial is the bits of
+one int, coefficient i in bit i, and subtraction is XOR, so a division
+step is one shift and one XOR, with nothing to carry and no slot to
+reduce mod 2.  ``gcd`` keeps its whole remainder sequence in such ints
+and converts only the inputs and the answer; ``//``, ``%`` and ``xgcd``
+go through the same division.
+
 Loops that multiply again and again modulo one polynomial f of degree n
 (``pow_mod``, Ben-Or's Frobenius steps, the trace in equal-degree
 splitting, the order of t in ``bigpoly``) keep their residues as
@@ -253,6 +260,34 @@ def _trimmed(cs) -> tuple:
     return tuple(cs[:k])
 
 
+#: coefficients 0 and 1 as the digits of a binary numeral, and back
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(cs) -> int:
+    """The F_2 coefficients cs as one int, coefficient i in bit i."""
+    return int(bytes(cs[::-1]).translate(_TO_DIGITS), 2) if cs else 0
+
+
+def _unbits(x: int) -> tuple:
+    """The coefficient tuple of the F_2 polynomial held in the bits of x."""
+    return tuple(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)) if x else ()
+
+
+def _f2_divmod(a: int, b: int):
+    """Quotient and remainder of F_2 polynomials held as bits, b nonzero:
+    each step clears the top bit of the remainder with one shift and one
+    XOR."""
+    q, db = 0, b.bit_length()
+    k = a.bit_length() - db
+    while k >= 0:
+        q ^= 1 << k
+        a ^= b << k
+        k = a.bit_length() - db
+    return q, a
+
+
 class PrimePoly:
     """A polynomial with coefficients in F_p."""
 
@@ -469,6 +504,9 @@ class PrimePoly:
         db, dq = len(b) - 1, len(a) - len(b)
         if dq < 0:
             return _poly(p, ()), self
+        if p == 2:
+            q, r = _f2_divmod(_bits(a), _bits(b))
+            return _poly(2, _unbits(q)), _poly(2, _unbits(r))
         # packed long division (see the module docstring): a slot holds at
         # most p - 1 + (min(dq, db) + 1) (p-1)^2 <= (min(dq, db) + 2) (p-1)^2
         w, pack, unpack = _packer(p, min(dq, db) + 2)
@@ -531,7 +569,13 @@ def _poly(p: int, coeffs: tuple) -> PrimePoly:
 
 
 def gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor.  Over F_2 the remainder sequence
+    runs on the bits of ints, converted only at each end."""
+    if a.p == b.p == 2:
+        x, y = _bits(a.coeffs), _bits(b.coeffs)
+        while y:
+            x, y = y, _f2_divmod(x, y)[1]
+        return _poly(2, _unbits(x))
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a

@@ -563,6 +563,63 @@ def test_add_sub_neg_match_schoolbook(case):
         assert (fb * k).coeffs == (k * fb).coeffs == ref_mul(b, (k % p,), p)
 
 
+# -- F_2 division and gcd on the bits of ints, beyond the degrees above ----
+
+
+def random_f2(rng, degree):
+    return tuple(rng.randrange(2) for _ in range(degree)) + (1,)
+
+
+def test_f2_divmod_long_dividend():
+    # t^4097 - 1 by divisors of degree 1 to 64: quotients of 4000 bits
+    rng = Random(4097)
+    a = (1,) + (0,) * 4096 + (1,)
+    fa = PrimePoly(2, a)
+    for degree in range(1, 65):
+        b = random_f2(rng, degree)
+        fb = PrimePoly(2, b)
+        want = ref_divmod(a, b, 2)
+        q, r = divmod(fa, fb)
+        for f in (q, r, fa // fb, fa % fb):
+            assert_invariants(f, 2)
+        assert (q.coeffs, r.coeffs) == ((fa // fb).coeffs, (fa % fb).coeffs) == want
+        g = gcd(fa, fb)
+        assert_invariants(g, 2)
+        assert g.coeffs == ref_gcd(b, want[1], 2)
+
+
+def test_f2_divmod_gcd_edge_cases():
+    rng = Random(2)
+    one, zero = PrimePoly(2, (1,)), PrimePoly.zero(2)
+    a, b = PrimePoly(2, random_f2(rng, 300)), PrimePoly(2, random_f2(rng, 300))
+    got = [divmod(a, one), divmod(a, b), divmod(a, a), divmod(one, one), divmod(zero, a)]
+    assert got[0] == (a, zero)  # the divisor 1
+    assert (got[1][0].coeffs, got[1][1].coeffs) == ref_divmod(a.coeffs, b.coeffs, 2)  # dq = 0
+    assert got[2] == got[3] == (one, zero)  # equal operands
+    assert got[4] == (zero, zero)
+    gcds = [gcd(a, a), gcd(a, zero), gcd(zero, a), gcd(zero, zero), gcd(one, zero),
+            gcd(a, a + one), gcd(a, b)]
+    assert gcds[:6] == [a, a, a, zero, one, one]
+    assert gcds[6].coeffs == ref_gcd(a.coeffs, b.coeffs, 2)
+    xgcds = [xgcd(a, zero), xgcd(zero, a), xgcd(zero, zero)]
+    assert xgcds == [(a, one, zero), (a, zero, one), (zero, one, zero)]
+    for f in [f for pair in got for f in pair] + gcds + [f for t in xgcds for f in t]:
+        assert_invariants(f, 2)
+
+
+def test_f2_xgcd_bezout_at_large_degree():
+    rng = Random(1000)
+    g = PrimePoly(2, random_f2(rng, 37))
+    a = g * PrimePoly(2, random_f2(rng, 1000))
+    b = g * PrimePoly(2, random_f2(rng, 1010))
+    d, s, t = xgcd(a, b)
+    for f in (d, s, t):
+        assert_invariants(f, 2)
+    assert d == gcd(a, b) and d.coeffs == ref_gcd(a.coeffs, b.coeffs, 2)
+    assert (d // g) * g == d
+    assert ref_add(ref_mul(s.coeffs, a.coeffs, 2), ref_mul(t.coeffs, b.coeffs, 2), 2) == d.coeffs
+
+
 # -- arithmetic mod a fixed polynomial: the reducer, Ben-Or and splitting ----
 #
 # The references below run on PrimePoly ``*`` and ``%`` (one packed
