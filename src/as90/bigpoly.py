@@ -24,6 +24,7 @@ from .polys import (
     PrimePoly,
     _Reducer,
     _count_vectors,
+    _power_sums,
     _trimmed,
     equal_degree_split,
     is_irreducible,
@@ -157,9 +158,10 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     Computed as lead(a)^deg(b) * lead(b)^deg(a) times the monic product
     read off its power sums: the k-th power sum of the products is
     s_k(a) s_k(b), and Newton's identities go from coefficients to power
-    sums and back (Bostan, Flajolet, Salvy & Schost, "Fast computation
-    of special resultants", 2006).  Degrees multiply; big times big
-    stays big.  A product above TENSOR_DEGREE_LIMIT raises OrderTooLarge.
+    sums (``polys._power_sums``, which field traces share) and back
+    (Bostan, Flajolet, Salvy & Schost, "Fast computation of special
+    resultants", 2006).  Degrees multiply; big times big stays big.  A
+    product above TENSOR_DEGREE_LIMIT raises OrderTooLarge.
     """
     if a.is_zero() or b.is_zero():
         raise ZeroPolynomial("tensor products need nonzero polynomials")
@@ -190,22 +192,6 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
         g = gcd(k, mod)
         top.append(x // g * pow(k // g, -1, mod) % mod)
     return PrimePoly._of(p, top[::-1]) * scale
-
-
-def _power_sums(f: PrimePoly, count: int, mod: int) -> list[int]:
-    """The power sums s_0 .. s_count of the roots of the monic f, mod
-    ``mod``, by Newton's identities, which need no division:
-    s_k = -k c_(d-k) - sum_{0<i<min(k, d+1)} c_(d-i) s_(k-i)."""
-    d = f.degree
-    top = f.coeffs[::-1]  # top[i] is the coefficient of t^(d-i)
-    sums = [d % mod]
-    for k in range(1, count + 1):
-        j = min(k - 1, d)
-        x = sum(map(mul, top[1:j + 1], sums[k - 1:k - j - 1:-1]))
-        if k <= d:
-            x += k * top[k]
-        sums.append(-x % mod)
-    return sums
 
 
 def _order_of_t_is(f: PrimePoly, target: int, factors: dict[int, int]) -> bool:

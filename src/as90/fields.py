@@ -9,16 +9,16 @@ elements of distinct contexts never mix silently.
 
 Elements are tuples of n coefficients in range(p).  The arithmetic on
 them runs on the packed F_p vectors of ``polys._packer``, the engine
-behind PrimePoly as well: with slots wide enough for n products of
+behind PrimePoly as well: with slots wide enough for n + 1 products of
 residues, one big-int product of two packed elements is the packed
 product polynomial, so the inner loops run in C.  The top n - 1
 coefficients are folded back with cached packed columns of
 t^(n+k) mod g.
 
-Frobenius maps, traces and subfield tests are F_p-linear, so each
-context lazily caches every map it uses in one form, its n packed
-columns; after the first call these operations cost one
-matrix-vector product, sum_c v_c * column_c.
+Frobenius powers x -> x^(p^j) are F_p-linear; each context caches those
+it uses, its only n x n tables, as n packed columns, so after the first
+call one costs a matrix-vector product, sum_c v_c * column_c.  Traces
+are built from them and from the power sums of the modulus's roots.
 
 A subfield GF(p^d) embeds by a root of its modulus g, read off an
 idempotent of ctx[X]/g; that ring packs on the same packer, d blocks of
@@ -52,6 +52,7 @@ from .polys import (
     _Reducer,
     _count_vectors,
     _packer,
+    _power_sums,
     default_modulus,
     is_irreducible,
     is_prime,
@@ -213,7 +214,8 @@ class _Kernel:
 
     ``red[k]`` is the packed vector of t^(n+k) mod g for k < n - 1, so a
     product polynomial sum_i c_i t^i reduces to
-    sum_{i<n} c_i t^i + sum_k c_(n+k) red[k] in one pass.
+    sum_{i<n} c_i t^i + sum_k c_(n+k) red[k] in one pass.  Slots hold
+    n + 1 products, so a matrix-vector product plus an element fits too.
     """
 
     __slots__ = ("p", "n", "pack", "unpack", "red")
@@ -221,7 +223,7 @@ class _Kernel:
     def __init__(self, ctx: FieldCtx):
         p, n, g = ctx.p, ctx.n, ctx.modulus.coeffs
         self.p, self.n = p, n
-        _, self.pack, self.unpack = _packer(p, n)
+        _, self.pack, self.unpack = _packer(p, n + 1)
         t_n = self.pack([-c % p for c in g[:n]])  # t^n = -(g_0 + ... + g_(n-1) t^(n-1))
         self.red, col = [], t_n
         for _ in range(n - 1):  # t^(n+k+1) = t * t^(n+k): shift, fold the top slot
@@ -385,10 +387,6 @@ def _mat_mul(a, b, kern: _Kernel):
     return [kern.pack(kern.combine(kern.unpack(col, kern.n), a)) for col in b]
 
 
-def _mat_add(a, b, kern: _Kernel):
-    return [kern.pack(kern.unpack(x + y, kern.n)) for x, y in zip(a, b)]
-
-
 def _matrix_rows(ctx: FieldCtx, cols) -> list[list[int]]:
     """Rows of the n x n matrix with the given packed columns."""
     unpack = _kernel(ctx).unpack
@@ -480,29 +478,6 @@ def frobenius(a: FieldElem, k: int = 1) -> FieldElem:
     return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, _frob_cols(ctx, ctx.f * k)))
 
 
-def _trace_cols(ctx: FieldCtx, d: int):
-    """Packed columns of the trace onto the degree-d subfield,
-    S(m) = sum_{k<m} F^k with F = x -> x^(p^d) and m = n/d, cached per
-    context.
-
-    Built by doubling along the binary expansion of m, with
-    S(2k) = S(k) + F^k S(k) and S(k+1) = S(k) + F^k, so it takes
-    O(log m) matrix products instead of m - 1.
-    """
-    cache = ctx._cache.setdefault("trace", {})
-    if d not in cache:
-        kern, frob = _kernel(ctx), _frob_cols(ctx, d)
-        total, power = _frob_cols(ctx, 0), frob  # S(1) and F^1
-        for bit in bin(ctx.n // d)[3:]:
-            total = _mat_add(total, _mat_mul(power, total, kern), kern)
-            power = _mat_mul(power, power, kern)
-            if bit == "1":
-                total = _mat_add(total, power, kern)
-                power = _mat_mul(power, frob, kern)
-        cache[d] = total
-    return cache[d]
-
-
 def _subfield_step(ctx: FieldCtx, d: int | None) -> int:
     """d, or the designated step f when d is None, once it is checked to
     be the degree of a subfield of ctx."""
@@ -515,10 +490,33 @@ def _subfield_step(ctx: FieldCtx, d: int | None) -> int:
 def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
     """Trace of a from GF(p^n) onto the degree-``down_to`` subfield
     (default: the designated subfield GF(q)).  The result is returned as
-    an element of the big field and always lands in that subfield."""
+    an element of the big field and always lands in that subfield.
+
+    Onto F_p it is sum_k a_k s_k, s_k = Tr(t^k) the k-th power sum of the
+    modulus's roots, kept in ``ctx._cache["trace"][1]``.  Onto GF(p^d) it
+    is sum_{i<n/d} F^i(a), F = x -> x^(p^d), by doubling along the bits
+    of n/d, low first, on the Frobenius powers F^(2^j) ``_r_raw`` uses.
+    """
     ctx = a.ctx
     d = _subfield_step(ctx, down_to)
-    return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, _trace_cols(ctx, d)))
+    if d == 1:
+        cache = ctx._cache.setdefault("trace", {})
+        if 1 not in cache:
+            cache[1] = _power_sums(ctx.modulus, ctx.n - 1, ctx.p)
+        return ctx.elem(sum(map(operator.mul, a.coeffs, cache[1])))
+    kern = _kernel(ctx)
+    pack, unpack, n = kern.pack, kern.unpack, ctx.n
+    # block is S(2^j); F^(2^j) x + y is one packed sum, n (p-1)^2 + p - 1 a slot
+    block, out, m, shift = a.coeffs, None, n // d, d
+    while True:
+        if m & 1:
+            out = block if out is None else unpack(
+                sum(map(operator.mul, out, _frob_cols(ctx, shift))) + pack(block), n)
+        m >>= 1
+        if not m:
+            return FieldElem(ctx, tuple(out))
+        block = unpack(sum(map(operator.mul, block, _frob_cols(ctx, shift))) + pack(block), n)
+        shift *= 2
 
 
 def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:

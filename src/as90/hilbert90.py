@@ -28,8 +28,6 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElem,
-    _kernel,
-    _trace_cols,
     degree_over_subfield,
     frobenius,
     make_ctx,
@@ -130,7 +128,7 @@ def find_trace_one(
         sub = ctx if ctx.f * target == ctx.n else make_ctx(p, ctx.f * target, f=ctx.f)
         if solved:
             want = sub.elem(pow(scale, -1, p))
-            cols = [_kernel(sub).unpack(c, sub.n) for c in _trace_cols(sub, sub.f)]
+            cols = [trace(sub.elem((0,) * k + (1,)), sub.f).coeffs for k in range(sub.n)]
             # reversed, the free coordinates set to 0 are the lowest possible
             combo = solve_in_span(cols[::-1], want.coeffs, p)
             z0 = sub.elem((combo or ())[::-1])  # no solution gives 0, refused below

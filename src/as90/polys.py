@@ -58,6 +58,7 @@ import sys
 from array import array
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from random import Random
 
 from .errors import (
@@ -665,6 +666,22 @@ def _count_vectors(p: int, length: int):
         if i < 0:
             return
         v[i] += 1
+
+
+def _power_sums(f: PrimePoly, count: int, mod: int) -> list[int]:
+    """The power sums s_0 .. s_count of the roots of the monic f, mod
+    ``mod``, by Newton's identities, which need no division:
+    s_k = -k c_(d-k) - sum_{0<i<min(k, d+1)} c_(d-i) s_(k-i)."""
+    d = f.degree
+    top = f.coeffs[::-1]  # top[i] is the coefficient of t^(d-i)
+    sums = [d % mod]
+    for k in range(1, count + 1):
+        j = min(k - 1, d)
+        x = sum(map(mul, top[1:j + 1], sums[k - 1:k - j - 1:-1]))
+        if k <= d:
+            x += k * top[k]
+        sums.append(-x % mod)
+    return sums
 
 
 # -- factorization over F_p ---------------------------------------------

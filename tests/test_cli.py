@@ -393,8 +393,10 @@ def test_optimized_interpreter_same_output():
         else:
             assert payload["verified"] is True
     # R(y, z) by doubling: m = 2^6 runs every doubling step, and h90
-    # evaluates both orientations R(y, z) and R(z, y)
+    # evaluates both orientations R(y, z) and R(z, y); over GF(3^2) the
+    # trace criterion and the solved witness sum conjugates by doubling too
     for argv in (("root", "--p", "2", "--n", "64", "--y", "t+t^2", "--json"),
+                 ("root", "--p", "3", "--n", "12", "--f", "2", "--y", "t^9-t", "--json"),
                  ("h90", "--p", "2", "--n", "6", "--y", "t+t^4", "--z", "t^3", "--json")):
         plain = run_process(*argv)
         optimized = run_process(*argv, flags=("-O",))

@@ -1,6 +1,7 @@
 """Field contexts, element arithmetic, Frobenius/trace machinery,
 subfields, embeddings, discrete logs, and root extraction."""
 
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -255,8 +256,10 @@ def packed(ctx, rows):
     return [fields._kernel(ctx).pack(col) for col in zip(*rows)]
 
 
+@lru_cache(maxsize=None)
 def naive_trace_matrix(ctx, d):
-    """sum_{k < n/d} F^k for F = x -> x^(p^d), one product per term."""
+    """sum_{k < n/d} F^k for F = x -> x^(p^d), one product per term;
+    kept per context, as the n = 64 matrix takes about a second."""
     n, p, frob = ctx.n, ctx.p, dense(ctx, fields._frob_cols(ctx, d))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     total = [row[:] for row in power]
@@ -269,10 +272,41 @@ def naive_trace_matrix(ctx, d):
 
 @pytest.mark.parametrize("p, n, d", [
     (2, 32, 1), (3, 12, 2), (5, 9, 3), (2, 13, 1), (7, 14, 1), (2, 12, 12),
+    (65521, 4, 2), (2**32 - 5, 2, 1),
 ])
 def test_trace_matrix_doubling_matches_naive_sum(p, n, d):
+    # the traces of t^0 .. t^(n-1) are the columns of the naive matrix,
+    # onto every subfield: p | n at p = 2, 3, 7 and p | m at (3, 12, 2)
+    # and (7, 14, 1); d = 1 is the power-sum dot product, d > 1 doubling
     ctx = make_ctx(p, n, f=d)
-    assert dense(ctx, fields._trace_cols(ctx, d)) == naive_trace_matrix(ctx, d)
+    basis = [FieldElem(ctx, tuple(int(i == k) for i in range(n))) for k in range(n)]
+    extremes = (ctx.zero(), ctx.one(), FieldElem(ctx, (p - 1,) * n))
+    for e in (e for e in range(1, n + 1) if n % e == 0):
+        naive = naive_trace_matrix(ctx, e)
+        assert [list(row) for row in zip(*(trace(b, e).coeffs for b in basis))] == naive, e
+        for a in extremes:
+            assert trace(a, e).coeffs == schoolbook_mat_vec(naive, a.coeffs, p), e
+    assert trace(basis[-1]) == trace(basis[-1], d)
+
+
+def test_trace_builds_no_matrix():
+    # onto F_p the trace is a dot product with the modulus's n power sums,
+    # so answering has_root on a fresh context builds no Frobenius power
+    from as90.artin_schreier import ArtinSchreierInstance, has_root
+
+    for pn in ((2, 64), (3, 40), (65521, 4)):
+        ctx = fields.FieldCtx(*pn, make_ctx(*pn).modulus)
+        g = ctx.gen()
+        assert has_root(ArtinSchreierInstance(ctx, g**ctx.p - g))
+        assert "frob" not in ctx._cache
+        sums = ctx._cache["trace"][1]
+        assert len(sums) == ctx.n and all(isinstance(s, int) for s in sums)
+    # every trace is fixed by x -> x^(p^d), checked by powering
+    ctx, rng = make_ctx(3, 12), Random(12)
+    for a in [ctx.random_element(rng) for _ in range(3)] + [FieldElem(ctx, (2,) * 12)]:
+        for d in (1, 2, 3, 4, 6, 12):
+            tr = trace(a, d)
+            assert tr ** (3**d) == tr, d
 
 
 def test_trace_default_is_subfield_step():
@@ -824,9 +858,11 @@ def test_nullspace_and_span_on_random_matrices():
 # -- packed kernels against schoolbook references -------------------------------
 
 # (p, n) -> slot width in bytes: each side of every width boundary, n = 1,
-# and the two largest binary and ternary fields of the benchmark
+# and the two largest binary and ternary fields of the benchmark; a field's
+# kernel packs n + 1 products, so (5, 14) is the largest p = 5 kernel on
+# one-byte slots
 KERNEL_FIELDS = {
-    (2, 1): 1, (3, 1): 1, (5, 15): 1, (5, 16): 2, (17, 1): 2, (65521, 4): 8,
+    (2, 1): 1, (3, 1): 1, (5, 14): 1, (5, 15): 1, (5, 16): 2, (17, 1): 2, (65521, 4): 8,
     (2**32 - 5, 2): 9, (2**64 - 59, 1): 16, (2, 64): 1, (3, 40): 1,
 }
 
@@ -856,6 +892,13 @@ def test_kernel_slot_widths():
     for (p, n), width in KERNEL_FIELDS.items():
         assert fields._packer(p, n)[0] == width, (p, n)
         assert n * (p - 1) ** 2 < 256**width
+    # a trace step adds one packed element to a matrix-vector product, so
+    # a kernel slot (the value of a 1 packed in slot 1) must hold
+    # n (p-1)^2 + p - 1; one byte is short by one at p = 2, n = 255
+    wide = fields.FieldCtx(2, 255, PrimePoly.x(2, 255) + PrimePoly(2, (1, 1)))
+    for ctx in [make_ctx(*pn) for pn in KERNEL_FIELDS] + [wide]:
+        p, n = ctx.p, ctx.n
+        assert n * (p - 1) ** 2 + p - 1 < fields._kernel(ctx).pack((0, 1)), (p, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -881,7 +924,7 @@ def test_kernel_frobenius_and_trace_match_schoolbook(pn, data):
     k = data.draw(st.integers(-2, 3))
     frob = dense(ctx, fields._frob_cols(ctx, k))
     assert frobenius(a, k).coeffs == schoolbook_mat_vec(frob, a.coeffs, ctx.p)
-    tr = dense(ctx, fields._trace_cols(ctx, 1))
+    tr = naive_trace_matrix(ctx, 1)
     assert trace(a).coeffs == schoolbook_mat_vec(tr, a.coeffs, ctx.p)
 
 
@@ -898,8 +941,9 @@ def test_kernel_extreme_coefficients(pn):
     for j in (1, 2):
         frob = dense(ctx, fields._frob_cols(ctx, j))
         assert frobenius(top, j).coeffs == schoolbook_mat_vec(frob, top.coeffs, p)
-    tr = dense(ctx, fields._trace_cols(ctx, 1))
-    assert trace(top).coeffs == schoolbook_mat_vec(tr, top.coeffs, p)
+    for d in (d for d in (1, 2) if ctx.n % d == 0):
+        tr = naive_trace_matrix(ctx, d)
+        assert trace(top, d).coeffs == schoolbook_mat_vec(tr, top.coeffs, p)
     full = packed(ctx, [[p - 1] * ctx.n for _ in range(ctx.n)])
     square = fields._mat_mul(full, full, fields._kernel(ctx))
     assert dense(ctx, square) == schoolbook_mat_mul(dense(ctx, full), dense(ctx, full), p)
