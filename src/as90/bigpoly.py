@@ -22,10 +22,9 @@ from .intfactor import factorint, least_divisor
 from .periodicity import sequence_period
 from .polys import (
     PrimePoly,
-    _Reducer,
     _count_vectors,
     _power_sums,
-    _trimmed,
+    _reducer,
     equal_degree_split,
     is_irreducible,
     is_prime,
@@ -194,13 +193,17 @@ def tensor_product(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     return PrimePoly._of(p, top[::-1]) * scale
 
 
-def _order_of_t_is(f: PrimePoly, target: int, factors: dict[int, int]) -> bool:
-    """Does t have multiplicative order exactly ``target`` mod f?"""
-    red = _Reducer(f)
-    x = (PrimePoly._of(f.p, (0, 1)) % f).coeffs
-    if _trimmed(red.pow(x, target)) != (1,):
+def _order_of_t_is(f: PrimePoly, target: int, factors: dict[int, int],
+                   divides: bool = False) -> bool:
+    """Does t have multiplicative order exactly ``target`` mod f?  With
+    ``divides`` the caller knows that t^target = 1 already (f irreducible
+    of degree e with f(0) != 0 and target = p^e - 1, by Lagrange), and
+    only the maximal proper divisors are tried."""
+    red, one = _reducer(f), PrimePoly._of(f.p, (1,))
+    t = red.lift(PrimePoly._of(f.p, (0, 1)))
+    if not divides and red.poly(red.pow(t, target)) != one:
         return False
-    return all(_trimmed(red.pow(x, target // ell)) != (1,) for ell in factors)
+    return all(red.poly(red.pow(t, target // ell)) != one for ell in factors)
 
 
 def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
@@ -242,7 +245,7 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
                 f = PrimePoly._of(p, (c0,) + mid + (sub, 1))
                 if not is_irreducible(f):
                     continue
-                if _order_of_t_is(f, group, factors):
+                if _order_of_t_is(f, group, factors, divides=True):
                     return f
     raise NotFound(f"no big primitive of degree {e} over F_{p}")
 
@@ -287,16 +290,15 @@ def verify_table_entry(n_2: int, candidate: PrimePoly | None = None) -> TableChe
     else:
         checks["order"] = False
     if checks["degree"]:
-        # partial sums of the root, still in the quotient ring, as packed
-        # residues (over F_2 a sum is an XOR); the trace of t is the sum
-        # of its first n_2 conjugates
-        red = _Reducer(candidate)
-        terms = [0]
-        w = (PrimePoly._of(2, (0, 1)) % candidate).coeffs
+        # partial sums of the root, still in the quotient ring; the trace
+        # of t is the sum of its first n_2 conjugates
+        red = _reducer(candidate)
+        w = red.lift(PrimePoly._of(2, (0, 1)))
+        terms = [red.lift(PrimePoly._of(2, ()))]
         for _ in range(4 * n_2 - 1):
-            terms.append(terms[-1] ^ red.pack(w))
-            w = red.mul(w, w)
-        checks["trace"] = terms[n_2] == 1
+            terms.append(red.add(terms[-1], w))
+            w = red.square(w)
+        checks["trace"] = red.poly(terms[n_2]) == PrimePoly._of(2, (1,))
         try:
             checks["period"] = sequence_period(terms, 2 * n_2) == 2 * n_2
         except Exception:

@@ -31,24 +31,33 @@ Packing and unpacking go through ``int.from_bytes`` and ``int.to_bytes``,
 so the inner loops run in C; over F_2 the residue of a slot is the parity
 of its lowest byte, so slots wider than a byte unpack in C as well.
 
-Over F_2, division and gcd skip the slots: a polynomial is the bits of
-one int, coefficient i in bit i, and subtraction is XOR, so a division
-step is one shift and one XOR, with nothing to carry and no slot to
-reduce mod 2.  ``gcd`` keeps its whole remainder sequence in such ints
-and converts only the inputs and the answer; ``//``, ``%`` and ``xgcd``
-go through the same division.
+Over F_2 the slots are skipped: a polynomial is the bits of one int,
+coefficient i in bit i, and subtraction is XOR, so a division step is
+one shift and one XOR, with nothing to carry and no slot to reduce mod 2.
+``gcd`` keeps its whole remainder sequence in such ints, with a
+remainder-only loop, and converts only the inputs and the answer; ``//``,
+``%`` and ``xgcd`` go through the same division.
 
 Loops that multiply again and again modulo one polynomial f of degree n
-(``pow_mod``, Ben-Or's Frobenius steps, the trace in equal-degree
-splitting, the order of t in ``bigpoly``) keep their residues as
-coefficient sequences and reduce on ``_Reducer``: Barrett division by a
-precomputed inverse of the reversed f (op. cit., 9.1), two packed
-products per reduction instead of one step per quotient coefficient.
-A product of two residues sums at most n products of residues per slot,
-its top k <= n - 1 coefficients times the inverse at most k, and the low
-n slots of the product plus the quotient times -f at most
-p - 1 + (n-1) (p-1)^2; so one packer for n products serves them all, and
-the Newton steps that build the inverse too.
+(``pow_mod``, Ben-Or's Frobenius steps, the trace or power map in
+equal-degree splitting, the order of t and the partial traces in
+``bigpoly``) keep their residues in a reducer from ``_reducer(f)``, which
+has one interface for every p (op. cit., 14.2 and 14.3):
+
+* over F_2, ``_F2Reducer`` holds a residue as the bits of one int.  The
+  square of a is its binary numeral read in base 4, which puts bit i at
+  bit 2i with no slot at all; a product is one Kronecker product on byte
+  slots whose parities are its bits; and the remainder is the same
+  shift-and-XOR loop that ``gcd`` runs.
+* otherwise ``_Reducer`` holds coefficient sequences and reduces by
+  Barrett division with a precomputed inverse of the reversed f (op. cit.,
+  9.1), two packed products per reduction instead of one step per
+  quotient coefficient.  A product of two residues sums at most n
+  products of residues per slot, its top k <= n - 1 coefficients times
+  the inverse at most k, and the low n slots of the product plus the
+  quotient times -f at most p - 1 + (n-1) (p-1)^2; so one packer for n
+  products serves them all, and the Newton steps that build the inverse
+  too.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt
 from operator import mul
 from random import Random
@@ -182,6 +191,14 @@ class _Reducer:
     residues kept as coefficient sequences (tuples, lists or the bytes of
     ``_packer``), each of length at most n with entries in range(p).
 
+    ``_F2Reducer`` has the same interface on residues held as the bits of
+    one int, and ``_reducer(f)`` picks between the two: ``lift`` takes a
+    PrimePoly to its residue, ``poly`` takes a residue back, ``mul``,
+    ``square``, ``pow``, ``add`` and ``minus_t`` (h - t, for n >= 2) stay
+    on residues, ``gcd`` is the monic gcd of f and a residue, and
+    ``random`` draws a residue.  ``fields`` builds this class for every
+    p, since its callers index the coefficients.
+
     A product of residues has degree at most 2n - 2.  Its quotient by f
     comes from ``inv``, the packed G = rev(f)^-1 mod t^(n-1), which Newton
     iteration builds in O(log n) packed products (Barrett division; von
@@ -194,13 +211,39 @@ class _Reducer:
     degree n never builds them.
     """
 
-    __slots__ = ("p", "n", "f", "bits", "pack", "unpack", "inv", "neg_f")
+    __slots__ = ("p", "n", "f", "mod", "bits", "pack", "unpack", "inv", "neg_f")
 
     def __init__(self, f: "PrimePoly"):
-        self.p, self.f, self.n = f.p, f.coeffs, f.degree
+        self.p, self.f, self.n, self.mod = f.p, f.coeffs, f.degree, f
         w, self.pack, self.unpack = _packer(f.p, f.degree)
         self.bits = 8 * w
         self.inv = None
+
+    def lift(self, g: "PrimePoly"):
+        """The residue of g mod f."""
+        return (g if g.degree < self.n else g % self.mod).coeffs
+
+    def poly(self, a) -> "PrimePoly":
+        return _poly(self.p, _trimmed(a))
+
+    def add(self, a, b):
+        """a + b: one packed sum, each slot at most 2 (p-1) <= n (p-1)^2
+        unless p = 2, whose slots are bytes."""
+        return self.unpack(self.pack(a) + self.pack(b), max(len(a), len(b)))
+
+    def minus_t(self, h):
+        """The residue h - t, for n >= 2."""
+        u = list(h) + [0] * (2 - len(h))
+        u[1] = (u[1] - 1) % self.p
+        return u
+
+    def gcd(self, a) -> "PrimePoly":
+        """The monic gcd of f and the residue a."""
+        return gcd(self.mod, self.poly(a))
+
+    def random(self, rng: Random) -> list:
+        """A residue drawn uniformly by rng."""
+        return [rng.randrange(self.p) for _ in range(self.n)]
 
     def _series_inverse(self, h, k: int) -> list:
         """The k coefficients of 1/h mod t^k, for h[0] != 0: Newton's
@@ -238,18 +281,22 @@ class _Reducer:
             return ()
         return self._reduce(self.pack(a) * self.pack(b), len(a) + len(b) - 1)
 
+    def square(self, a):
+        """a^2 mod f."""
+        return self._reduce(self.pack(a) ** 2, 2 * len(a) - 1) if a else ()
+
     def pow(self, a, e: int):
         """a^e mod f, left-to-right binary powering."""
         if e == 0:
             return (1,)
         if not a:
             return ()
-        pack, reduce, base, la = self.pack, self._reduce, self.pack(a), len(a)
+        pack, square, base, la = self.pack, self.square, self.pack(a), len(a)
         r = a
         for bit in bin(e)[3:]:
-            r = reduce(pack(r) ** 2, 2 * len(r) - 1)
+            r = square(r)
             if bit == "1":
-                r = reduce(pack(r) * base, len(r) + la - 1)
+                r = self._reduce(pack(r) * base, len(r) + la - 1)
         return r
 
 
@@ -287,6 +334,110 @@ def _f2_divmod(a: int, b: int):
         a ^= b << k
         k = a.bit_length() - db
     return q, a
+
+
+def _f2_mod(a: int, b: int) -> int:
+    """The remainder of ``_f2_divmod``, without building the quotient."""
+    db = b.bit_length()
+    k = a.bit_length() - db
+    while k >= 0:
+        a ^= b << k
+        k = a.bit_length() - db
+    return a
+
+
+def _f2_gcd(a: int, b: int) -> int:
+    """The gcd of F_2 polynomials held as bits, by remainders only."""
+    while b:
+        a, b = b, _f2_mod(a, b)
+    return a
+
+
+#: the parity of a byte as a binary digit
+_PARITY_DIGITS = bytes(b"01"[i & 1] for i in range(256))
+
+
+def _f2_slots(x: int, w: int) -> int:
+    """The bits of x spread to slots of w bytes, bit i in the lowest bit
+    of slot i."""
+    digits = format(x, "b").encode().translate(_FROM_DIGITS)
+    if w > 1:
+        raw = bytearray(len(digits) * w)
+        raw[w - 1::w] = digits
+        digits = raw
+    return int.from_bytes(digits, "big")
+
+
+def _f2_mul(a: int, b: int) -> int:
+    """The product of F_2 polynomials held as bits, carry-less: one
+    Kronecker product on byte slots, whose parities are its bits.  A slot
+    sums at most min(len a, len b) ones, so it takes as many bytes as
+    that count needs."""
+    la, lb = a.bit_length(), b.bit_length()
+    if not la or not lb:
+        return 0
+    w = (min(la, lb).bit_length() + 7) // 8
+    c = _f2_slots(a, w) * _f2_slots(b, w)
+    return int(c.to_bytes((la + lb - 1) * w, "big")[w - 1::w].translate(_PARITY_DIGITS), 2)
+
+
+class _F2Reducer:
+    """``_Reducer`` over F_2 on residues held as the bits of one int,
+    coefficient i in bit i, below 2^n.  The square of a is the binary
+    numeral of a read in base 4, which puts bit i at bit 2i; a product is
+    ``_f2_mul``; a sum is an XOR; and the remainder mod f is ``_f2_mod``,
+    one shift and one XOR per bit cleared.  Multiplying by t is a shift
+    and at most one XOR, so powers of t take no product at all."""
+
+    __slots__ = ("n", "f")
+
+    def __init__(self, f: "PrimePoly"):
+        if not f:
+            raise DivisionByZero("reduction mod the zero polynomial")
+        self.n, self.f = f.degree, _bits(f.coeffs)
+
+    def lift(self, g: "PrimePoly") -> int:
+        return _f2_mod(_bits(g.coeffs), self.f)
+
+    def poly(self, a: int) -> "PrimePoly":
+        return _poly(2, _unbits(a))
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def minus_t(self, h: int) -> int:
+        return h ^ 2
+
+    def gcd(self, a: int) -> "PrimePoly":
+        return self.poly(_f2_gcd(self.f, a))
+
+    def random(self, rng: Random) -> int:
+        return rng.getrandbits(self.n)
+
+    def mul(self, a: int, b: int) -> int:
+        return _f2_mod(_f2_mul(a, b), self.f)
+
+    def square(self, a: int) -> int:
+        return _f2_mod(int(format(a, "b"), 4), self.f)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e mod f, left-to-right binary powering; when a is t, each
+        multiplication by a is a shift."""
+        f = self.f
+        if e == 0:
+            return _f2_mod(1, f)
+        r = a
+        for bit in bin(e)[3:]:
+            r = int(format(r, "b"), 4)
+            if bit == "1":
+                r = r << 1 if a == 2 else _f2_mul(_f2_mod(r, f), a)
+            r = _f2_mod(r, f)
+        return r
+
+
+def _reducer(f: "PrimePoly"):
+    """The reducer mod f: ``_F2Reducer`` over F_2, ``_Reducer`` otherwise."""
+    return _F2Reducer(f) if f.p == 2 else _Reducer(f)
 
 
 class PrimePoly:
@@ -554,7 +705,8 @@ class PrimePoly:
         base = self % mod
         if mod.degree == 0:
             return base
-        return _poly(self.p, _trimmed(_Reducer(mod).pow(base.coeffs, e)))
+        red = _reducer(mod)
+        return red.poly(red.pow(red.lift(base), e))
 
 
 _set_p, _set_coeffs = PrimePoly.p.__set__, PrimePoly.coeffs.__set__
@@ -573,10 +725,7 @@ def gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     """Monic greatest common divisor.  Over F_2 the remainder sequence
     runs on the bits of ints, converted only at each end."""
     if a.p == b.p == 2:
-        x, y = _bits(a.coeffs), _bits(b.coeffs)
-        while y:
-            x, y = y, _f2_divmod(x, y)[1]
-        return _poly(2, _unbits(x))
+        return _poly(2, _unbits(_f2_gcd(_bits(a.coeffs), _bits(b.coeffs))))
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
@@ -729,13 +878,6 @@ def squarefree_decomposition(f: PrimePoly) -> list[tuple[PrimePoly, int]]:
     return out
 
 
-def _minus_t(h, p: int) -> list:
-    """The residue h - t."""
-    u = list(h) + [0] * (2 - len(h))
-    u[1] = (u[1] - 1) % p
-    return u
-
-
 def distinct_degree_split(f: PrimePoly):
     """Yield (product of the irreducible factors of degree d, d) for
     squarefree monic f, in increasing d, computing each piece only when
@@ -751,22 +893,21 @@ def distinct_degree_split(f: PrimePoly):
     which the short first blocks find after few products.
     """
     p = f.p
-    rest, d, red = f, 0, None
-    h = (PrimePoly._of(p, (0, 1)) % f).coeffs
+    rest, d, red = f, 0, _reducer(f)
+    h = red.lift(_poly(p, (0, 1)))
     cap = max(1, isqrt(f.degree))
     while rest.degree > 0:
         if 2 * (d + 1) > rest.degree:
             yield rest, rest.degree
             return
-        if red is None or red.n != rest.degree:
-            red = _Reducer(rest)
+        if red.n != rest.degree:
+            old, red = red, _reducer(rest)
+            h = red.lift(old.poly(h))
         hs = []
-        acc = (1,)
         for _ in range(min(max(d, 1), cap, rest.degree // 2 - d)):
             h = red.pow(h, p)
             hs.append(h)
-            acc = red.mul(acc, _minus_t(h, p))
-        block = gcd(rest, _poly(p, _trimmed(acc)))
+        block = red.gcd(reduce(red.mul, map(red.minus_t, hs)))
         for hd in hs:
             d += 1
             if block.degree == 0:  # no factor left in this block
@@ -774,13 +915,11 @@ def distinct_degree_split(f: PrimePoly):
             if 2 * d > rest.degree:
                 yield rest, rest.degree
                 return
-            g = gcd(block, _poly(p, _trimmed(_minus_t(hd, p))))
+            g = gcd(block, red.poly(red.minus_t(hd)))
             if g.degree > 0:
                 yield g, d
                 rest = rest // g
                 block = block // g
-        if rest.degree < red.n:
-            h = (_poly(p, _trimmed(h)) % rest).coeffs
 
 
 def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[PrimePoly]:
@@ -802,23 +941,17 @@ def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[
         if g.degree == d:
             done.append(g)
             continue
-        u = PrimePoly._of(p, [rng.randrange(p) for _ in range(g.degree)])
-        if u.degree < 1:
-            continue
-        red = _Reducer(g)
+        red = _reducer(g)
+        w = red.random(rng)
         if p == 2:
-            # trace map into F_2: u + u^2 + ... + u^(2^(d-1)); over F_2 a
-            # sum of packed residues is their XOR
-            w = u.coeffs
-            acc = red.pack(w)
+            # trace map into F_2: u + u^2 + ... + u^(2^(d-1))
+            acc = w
             for _ in range(d - 1):
-                w = red.mul(w, w)
-                acc ^= red.pack(w)
-            h = gcd(g, _poly(p, _trimmed(red.unpack(acc, g.degree))))
+                w = red.square(w)
+                acc = red.add(acc, w)
         else:
-            w = list(red.pow(u.coeffs, (p**d - 1) // 2))
-            w[0] = (w[0] - 1) % p
-            h = gcd(g, _poly(p, _trimmed(w)))
+            acc = red.add(red.pow(w, (p**d - 1) // 2), red.lift(_poly(p, (p - 1,))))
+        h = red.gcd(acc)
         if 0 < h.degree < g.degree:
             pieces.append(h)
             pieces.append(g // h)

@@ -12,6 +12,7 @@ from as90.bigpoly import (
     CYCLOTOMIC_DEGREE_LIMIT,
     TABLE_ROWS,
     TENSOR_DEGREE_LIMIT,
+    _order_of_t_is,
     classify,
     cyclotomic,
     cyclotomic_prime,
@@ -24,6 +25,7 @@ from as90.bigpoly import (
 )
 from as90.errors import EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
 from as90.fields import element_order, make_ctx
+from as90.intfactor import factorint
 from as90.polys import PrimePoly, factor, is_irreducible, is_prime
 
 
@@ -478,3 +480,28 @@ def test_regenerate_table():
     for n_2, _, poly in rows:
         assert verify_table_entry(n_2, poly).passed
     assert regenerate_table(degrees=(2, 4, 8)) == rows
+
+
+def test_order_check_may_skip_the_full_power_only_for_irreducibles():
+    # find_big_primitive skips t^(p^e - 1) = 1, which Lagrange gives for
+    # an irreducible f with f(0) != 0; verify_table_entry keeps it, since
+    # its candidate may be reducible
+    for p, e in ((2, 1), (2, 2), (2, 6), (2, 8), (3, 1), (3, 4), (5, 2)):
+        group = p**e - 1
+        factors = factorint(group)
+        for rest in product(range(p), repeat=e):
+            f = PrimePoly(p, rest + (1,))
+            if f[0] == 0 or not is_irreducible(f):
+                continue
+            want = element_order(make_ctx(p, e, modulus=str(f)).gen()) == group
+            assert _order_of_t_is(f, group, factors, divides=True) == want, f
+            assert _order_of_t_is(f, group, factors) == want, f
+    # (t^2+t+1)^2: t has order 6, so t^15 = t^3 != 1, and neither t^5 nor
+    # t^3 is 1: only the full power shows that the order is not 15
+    f = P("t^4+t^2+1")
+    assert f == P("t^2+t+1") * P("t^2+t+1")
+    assert _order_of_t_is(f, 15, {3: 1, 5: 1}, divides=True)
+    assert not _order_of_t_is(f, 15, {3: 1, 5: 1})
+    rep = verify_table_entry(4, f)
+    assert not rep.checks["order"] and not rep.checks["irreducible"]
+    assert not verify_table_entry(16, P("t^16+t^15+t^8+t+1")).checks["order"]

@@ -435,6 +435,19 @@ def test_optimized_interpreter_same_output():
         assert json.loads(plain.stdout)["degree"] == degree, argv
 
 
+def test_optimized_interpreter_same_text_for_f2_residue_commands():
+    # the plain-text reports of the commands that run on F_2 residues held
+    # as bits: the order of t per candidate (bigsearch), the trace map of
+    # equal-degree splitting (cyclotomic) and every table check
+    for argv in (("bigsearch", "--e", "16"), ("cyclotomic", "--r", "257", "--p", "2"),
+                 ("table",)):
+        plain = run_process(*argv)
+        optimized = run_process(*argv, flags=("-O",))
+        assert plain.returncode == optimized.returncode == 0, argv
+        assert plain.stdout and optimized.stdout == plain.stdout, argv
+        assert optimized.stderr == plain.stderr == "", argv
+
+
 def test_source_has_no_assert_statements():
     # assert vanishes under -O; every check in the package must raise
     src = Path(__file__).resolve().parents[1] / "src" / "as90"

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from as90.errors import DivisionByZero, FactorizationTooHard, NotPrime, OrderTooLarge
 from as90.polys import (
     PrimePoly,
+    _F2Reducer,
     _Reducer,
+    _f2_mul,
+    _reducer,
     default_modulus,
     distinct_degree_split,
     equal_degree_split,
@@ -665,7 +668,8 @@ def ref_equal_degree_split(f, d, rng):
             done.append(g)
             continue
         u = PrimePoly._of(p, [rng.randrange(p) for _ in range(g.degree)])
-        if u.degree < 1:
+        if u.degree < 1:  # a constant splits nothing; g waits for the next draw
+            pieces.append(g)
             continue
         if p == 2:
             w = acc = u % g
@@ -845,3 +849,139 @@ def test_equal_degree_split_matches_reference(p, d, count):
     got = equal_degree_split(f, d, Random(0xA590))
     assert got == ref_equal_degree_split(f, d, Random(0xA590))
     assert got == sorted(factors, key=lambda q: q.coeffs)
+
+
+def test_equal_degree_split_keeps_a_piece_whose_draw_is_constant():
+    # a constant splitting element splits nothing, and the piece must wait
+    # for the next draw: over F_2 half the draws for t^2 + t are constant,
+    # and over F_3 the factor t^2 of this polynomial used to vanish
+    for seed in range(8):
+        assert equal_degree_split(P("t^2+t"), 1, Random(seed)) == [P("t"), P("t+1")]
+        assert equal_degree_split(P("t^3-t", 3), 1, Random(seed)) == [
+            P("t", 3), P("t+1", 3), P("t+2", 3)]
+    f = P("t^28+2t^27+2t^26+2t^24+2t^22+t^21+2t^20+2t^19+2t^17+2t^15+2t^14+t^11"
+          "+t^10+t^9+t^8+t^6+t^5+t^4+t^3+2t^2", 3)
+    got = factor(f)
+    assert (P("t", 3), 2) in got and (P("t+2", 3), 2) in got
+    assert multiply_out(got, 3) == f
+
+
+def multiply_out(factors, p):
+    out = PrimePoly.one(p)
+    for g, k in factors:
+        for _ in range(k):
+            out = out * g
+    return out
+
+
+# -- the reducer interface, on bit ints over F_2 and packed tuples otherwise --
+
+
+def all_ones(n):
+    return (1,) * n
+
+
+@pytest.mark.parametrize("degree", [1, 8, 254, 255, 256, 257, 600])
+def test_f2_residue_products_at_slot_widths(degree):
+    # a byte slot of the carry-less product holds 255 ones: operands of
+    # 255, 256 and 257 bits sit on either side of the wider slot.  Every
+    # result is checked against the packed reducer and PrimePoly * and %.
+    rng = Random(degree)
+    mods = [all_ones(degree + 1), random_f2(rng, degree)]
+    operands = [all_ones(degree), tuple(rng.randrange(2) for _ in range(degree)),
+                (1,), (0, 1)]
+    for fc in mods:
+        f = PrimePoly(2, fc)
+        bits, packed = _reducer(f), _Reducer(f)
+        assert type(bits) is _F2Reducer
+        for a, b in product(operands, repeat=2):
+            pa, pb = PrimePoly(2, a), PrimePoly(2, b)
+            want = pa * pb % f
+            x, y = bits.lift(pa), bits.lift(pb)
+            assert bits.poly(_f2_mul(x, y)) == (pa % f) * (pb % f)
+            assert bits.poly(bits.mul(x, y)) == want
+            assert packed.poly(packed.mul(packed.lift(pa), packed.lift(pb))) == want
+            assert bits.poly(bits.square(x)) == pa * pa % f
+            assert bits.poly(bits.pow(x, 5)) == packed.poly(packed.pow(packed.lift(pa), 5))
+
+
+def test_f2_carryless_product_at_slot_limits():
+    # all-ones operands around the one- and two-byte slot limits:
+    # coefficient k of the product is the parity of the number of ways to
+    # write k = i + j with i < la and j < lb
+    for la, lb in ((255, 255), (256, 256), (257, 600), (600, 600),
+                   (65535, 65535), (65536, 70000)):
+        want = "".join("01"[min(k, la - 1) - max(0, k - lb + 1) + 1 & 1]
+                       for k in range(la + lb - 2, -1, -1))
+        assert _f2_mul(int("1" * la, 2), int("1" * lb, 2)) == int(want, 2), (la, lb)
+        if la <= 600:
+            assert PrimePoly(2, all_ones(la)) * PrimePoly(2, all_ones(lb)) == PrimePoly(
+                2, [int(c) for c in reversed(want)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_cases(), st.one_of(st.sampled_from((0, 1, 2, 3)), st.integers(0, 2**70)))
+def test_reducer_interface_matches_prime_poly(case, e):
+    # the same calls on either reducer give PrimePoly's answers
+    p, fc, a, b = case
+    f, pa, pb = PrimePoly(p, fc), PrimePoly(p, a), PrimePoly(p, b)
+    red = _reducer(f)
+    assert (type(red) is _F2Reducer) == (p == 2)
+    x, y = red.lift(pa), red.lift(pb)
+    assert red.poly(x) == pa % f and red.poly(red.lift(pa * pb)) == pa * pb % f
+    assert red.poly(red.mul(x, y)) == pa * pb % f
+    assert red.poly(red.square(x)) == pa * pa % f
+    assert red.poly(red.add(x, y)) == (pa + pb) % f
+    assert red.gcd(x) == gcd(f, pa % f)
+    if f.degree >= 2:
+        assert red.poly(red.minus_t(x)) == pa % f - PrimePoly.x(p)
+    if f.degree <= 24:
+        assert red.poly(red.pow(x, e)) == pa.pow_mod(e, f) == ref_pow(pa, e, f)
+    t = red.lift(PrimePoly.x(p))
+    if f.degree <= 24:
+        assert red.poly(red.pow(t, e)) == ref_pow(PrimePoly.x(p), e, f)
+    r = red.poly(red.random(Random(e)))
+    assert r.degree < f.degree
+
+
+def test_reducer_refuses_the_zero_modulus():
+    for p in (2, 3):
+        with pytest.raises(DivisionByZero):
+            _reducer(PrimePoly.zero(p)).lift(PrimePoly.x(p))
+
+
+# -- exact oracles: the number of irreducibles, and factor multiplied out ----
+
+
+def necklace_count(p, n):
+    """(1/n) sum_{d | n} mu(d) p^(n/d), the number of monic irreducibles
+    of degree n over F_p."""
+    def mu(d):
+        out, k = 1, 2
+        while k * k <= d:
+            if d % k == 0:
+                d //= k
+                if d % k == 0:
+                    return 0
+                out = -out
+            k += 1
+        return -out if d > 1 else out
+
+    return sum(mu(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("p, top", [(2, 12), (3, 6)])
+def test_irreducible_counts_match_necklace_formula(p, top):
+    for n in range(1, top + 1):
+        count = sum(is_irreducible(PrimePoly(p, rest + (1,)))
+                    for rest in product(range(p), repeat=n))
+        assert count == necklace_count(p, n), (p, n)
+
+
+def test_f2_factor_multiplies_back():
+    rng = Random(64)
+    for _ in range(200):
+        f = PrimePoly(2, random_f2(rng, rng.randrange(1, 65)))
+        got = factor(f)
+        assert all(is_irreducible(g) for g, _ in got)
+        assert multiply_out(got, 2) == f
