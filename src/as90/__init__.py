@@ -65,7 +65,6 @@ from .periodicity import (
     PartialTraceSeq,
     PeriodReport,
     partial_trace_terms,
-    sequence_period,
     verify_period_theorem,
 )
 from .polys import PrimePoly, default_modulus, factor, is_irreducible, is_prime
@@ -123,7 +122,6 @@ __all__ = [
     "root_np_p",
     "root_p2mod3",
     "root_via_prime_r",
-    "sequence_period",
     "subfield_elements",
     "subfield_embed",
     "subfield_section",

@@ -390,14 +390,27 @@ def table_exponent_sequence(n_2: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _check_reference_exponents(n_2: int) -> None:
+    """Raise RuntimeError unless z^k = x_i for each reference exponent k
+    of this two-part, and x_i = 0 where the entry is None: one powering
+    per entry, no discrete log."""
+    z = _table_ctx(n_2).gen()
+    known = KNOWN_EXPONENTS[n_2]
+    for k, x in zip(known, partial_trace_terms(z, len(known))):
+        if not (x.is_zero() if k is None else z**k == x):
+            raise RuntimeError(f"reference exponents for two-part {n_2} do not match")
+
+
 @_constructor("table")
 def root_char2_table(ctx: FieldCtx):
     """Characteristic 2 over the prime subfield: reference witnesses.
 
     The 2-part of n selects a precomputed z (a big primitive root with
     trace 1); embedding it into E keeps trace 1 because n divided by its
-    2-part is odd.  Reference partial-sum exponent data is re-checked
-    once per process for the two-parts that have it.
+    2-part is odd.  For the two-parts in KNOWN_EXPONENTS, the reference
+    partial sums are checked once per process by raising z to each
+    exponent, before z is used.
     """
     if ctx.p != 2 or ctx.f != 1:
         raise UnsupportedTwoPart("the reference-table path needs p = 2 and q = 2")
@@ -410,7 +423,7 @@ def root_char2_table(ctx: FieldCtx):
             f"{sorted(TABLE_ROWS)}"
         )
     if n_2 in KNOWN_EXPONENTS:
-        table_exponent_sequence(n_2)  # checks reference data, cached
+        _check_reference_exponents(n_2)
     z = subfield_embed(_table_ctx(n_2).gen(), ctx)
     return z, {"n_2": n_2, "z_min_poly": str(TABLE_ROWS[n_2][1])}
 
@@ -425,16 +438,18 @@ def factor_artin_schreier(inst: ArtinSchreierInstance):
     quadratics), so the report says so rather than overclaiming.
 
     Constructor preference: coprime degree, then the characteristic-2
-    reference table, then the cube-root form, then the p-part-p form,
-    then the general witness.  A constructor whose preconditions fail
-    raises NotApplicable and the next one is tried.
+    reference table, then the p-part-p form, then the general witness.
+    A constructor whose preconditions fail raises NotApplicable and the
+    next one is tried.  The cube-root form is not tried: wherever its
+    preconditions hold, the coprime form (p odd) or the table (p = 2,
+    two-part 2) applies first.
     """
     if not has_root(inst):
         if inst.ctx.q == inst.ctx.p:
             return IrreducibilityReport(inst.ctx, inst.y, "irreducible", "irreducible")
         return IrreducibilityReport(inst.ctx, inst.y, "undetermined",
                                     "no root; irreducibility undetermined")
-    for method in ("coprime", "table", "p2mod3", "np_p", "general"):
+    for method in ("coprime", "table", "np_p", "general"):
         got = _witness(inst.ctx, method)
         if not isinstance(got, NotApplicable):
             return _root_set(inst, method, *got)

@@ -19,7 +19,6 @@ from random import Random
 from ._record import Record
 from .errors import BadInput, EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
 from .intfactor import factorint, least_divisor
-from .periodicity import sequence_period
 from .polys import (
     PrimePoly,
     _count_vectors,
@@ -274,8 +273,16 @@ def verify_table_entry(n_2: int, candidate: PrimePoly | None = None) -> TableChe
     1 over F_2; partial-trace sequence of the root has period exactly
     2e.  All checks run in the quotient ring F_2[t]/(candidate), so a
     failing candidate still yields a full report instead of an error.
-    Defaults to the built-in row for n_2.
+    Defaults to the built-in row for n_2; n_2 below 1 raises BadInput.
+
+    Squaring is additive in the quotient ring even for a reducible
+    candidate, so the partial sums x_i of t satisfy x_{i+d} - x_i =
+    (x_d)^(2^i): d is a period exactly when x_d = 0.  The periods are
+    closed under differences, so the period is 2e exactly when x_{2e} = 0
+    and x_d != 0 for every proper divisor d of 2e.
     """
+    if n_2 < 1:
+        raise BadInput(f"table rows need a positive degree, got {n_2}")
     if candidate is None:
         candidate = TABLE_ROWS[n_2][1]
     if candidate.p != 2:
@@ -290,19 +297,18 @@ def verify_table_entry(n_2: int, candidate: PrimePoly | None = None) -> TableChe
     else:
         checks["order"] = False
     if checks["degree"]:
-        # partial sums of the root, still in the quotient ring; the trace
-        # of t is the sum of its first n_2 conjugates
-        red = _reducer(candidate)
+        # partial sums x_0 .. x_{2e} of the root, residues held as the
+        # bits of one int; the trace of t is x_e, the sum of its first e
+        # conjugates
+        red, period = _reducer(candidate), 2 * n_2
         w = red.lift(PrimePoly._of(2, (0, 1)))
-        terms = [red.lift(PrimePoly._of(2, ()))]
-        for _ in range(4 * n_2 - 1):
-            terms.append(red.add(terms[-1], w))
+        terms = [0]
+        for _ in range(period):
+            terms.append(terms[-1] ^ w)
             w = red.square(w)
-        checks["trace"] = red.poly(terms[n_2]) == PrimePoly._of(2, (1,))
-        try:
-            checks["period"] = sequence_period(terms, 2 * n_2) == 2 * n_2
-        except Exception:
-            checks["period"] = False
+        checks["trace"] = terms[n_2] == 1
+        checks["period"] = terms[period] == 0 and least_divisor(
+            period, factorint(period), lambda d: terms[d] == 0) == period
     else:
         checks["trace"] = False
         checks["period"] = False

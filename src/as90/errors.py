@@ -73,10 +73,6 @@ class TraceNotOne(As90Error):
     pass
 
 
-class NoPeriodWithinBound(As90Error):
-    pass
-
-
 class NoRoot(As90Error):
     pass
 

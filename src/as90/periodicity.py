@@ -5,13 +5,13 @@ x_i = z + sigma(z) + ... + sigma^{i-1}(z) repeat with period exactly
 p*e, where e is the degree of z over the base and p the characteristic.
 The statement (period, divisibility by the p-part, nonvanishing between
 wrap-arounds) is checked from x_0 .. x_m, since d is a period exactly
-when x_d = 0; stored sequences are measured by comparing their terms.
+when x_d = 0.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import BadInput, NoPeriodWithinBound, TraceNotOne
+from .errors import TraceNotOne
 from .fields import FieldElem, degree_over_subfield, frobenius, trace
 from .intfactor import factorint, least_divisor, p_part
 
@@ -52,34 +52,6 @@ class PeriodReport(Record):
             "interior_nonzero": self.interior_nonzero,
             "pass": self.passed,
         }
-
-
-def _is_period(seq, d: int) -> bool:
-    return all(seq[i] == seq[i + d] for i in range(len(seq) - d))
-
-
-def sequence_period(seq, bound: int) -> int:
-    """Minimal d <= bound with seq[i] == seq[i+d] for all stored i.
-
-    Needs at least 2*bound stored terms so minimality is decidable.
-    Then the gcd of two periods up to the bound is one (Fine and Wilf),
-    so when the bound is a period the minimal one divides it and is
-    found by dividing primes out of the bound.  The linear fallback
-    covers sequences with no such guarantee.
-    """
-    if bound < 1:
-        raise BadInput("period bound must be positive")
-    if len(seq) < 2 * bound:
-        raise BadInput(
-            f"need at least {2 * bound} terms to certify a period bound of {bound}"
-        )
-    if _is_period(seq, bound):
-        return least_divisor(bound, factorint(bound), lambda d: _is_period(seq, d))
-    # a divisor of the bound that is a period would make the bound one
-    for d in range(2, bound):
-        if bound % d != 0 and _is_period(seq, d):
-            return d
-    raise NoPeriodWithinBound(f"no period at or below {bound}")
 
 
 def partial_trace_terms(z: FieldElem, length: int, k: int = 1) -> list[FieldElem]:

@@ -38,7 +38,9 @@ from as90.errors import (
 from as90.fields import frobenius, make_ctx, subfield_elements, trace
 from as90.hilbert90 import find_trace_one
 from as90.intfactor import p_part
-from as90.periodicity import partial_trace_terms, sequence_period
+from as90.periodicity import partial_trace_terms
+from as90.polys import is_prime
+from period_scan import naive_period
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -295,7 +297,7 @@ def test_prime_r_witness_period():
     scalar = pow((ctx.n // e) * tau % 2, -1, 2)
     z = subfield_embed(sub.gen(), ctx) * scalar
     terms = partial_trace_terms(z, 4 * e)
-    assert sequence_period(terms, 2 * e) == e * ctx.p == 4
+    assert naive_period(terms, 2 * e) == e * ctx.p == 4
 
 
 # -- cube root of unity witness (p = 2 mod 3) ------------------------------------
@@ -419,7 +421,7 @@ def test_table_sequence_period_is_2n2():
     for n_2 in (2, 4, 8, 16):
         ctx = _table_ctx(n_2)
         terms = partial_trace_terms(ctx.gen(), 4 * n_2)
-        assert sequence_period(terms, 2 * n_2) == 2 * n_2
+        assert naive_period(terms, 2 * n_2) == 2 * n_2
 
 
 def test_degree_32_exponents_against_golden_file():
@@ -626,6 +628,49 @@ def test_dispatch_matches_condition_chain(p):
                 want.method, want.base_root, want.notes), (p, n, f)
 
 
+def test_p2mod3_preconditions_are_always_preempted():
+    # the cube-root form needs f = 1, p = 2 mod 3, n even and n/2 prime to
+    # p.  For odd p, n is then prime to p and the coprime form applies;
+    # for p = 2, n/2 is odd, the two-part is 2 and the table applies.  So
+    # auto dispatch never tries it.
+    grid = [(p, n) for p in range(2, 200) if is_prime(p) for n in range(1, 129)
+            if p % 3 == 2 and n % 2 == 0 and (n // 2) % p != 0]
+    assert len(grid) > 1000
+    for p, n in grid:
+        assert n % p != 0 or (p == 2 and p_part(n, 2) in TABLE_ROWS), (p, n)
+    # on real contexts: the cube-root form builds, and dispatch picks another
+    for p, n in grid:
+        if p <= 17 and n <= 12:
+            ctx = make_ctx(p, n)
+            assert root_p2mod3(inst(ctx, 0)).method == "p2mod3"
+            want = "coprime" if p != 2 else "table"
+            assert factor_artin_schreier(inst(ctx, 0)).method == want, (p, n)
+
+
+def test_table_root_takes_no_discrete_log(monkeypatch):
+    # the reference exponents of two-part 16 are checked by powering
+    from as90 import fields
+
+    calls = []
+
+    def counting(real):
+        def log(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return log
+
+    monkeypatch.setattr(fields, "discrete_log", counting(fields.discrete_log))
+    monkeypatch.setattr(artin_schreier, "discrete_log", counting(artin_schreier.discrete_log))
+    for cached in (artin_schreier._table_ctx, artin_schreier._check_reference_exponents,
+                   artin_schreier.table_exponent_sequence):
+        cached.cache_clear()
+    ctx = make_ctx(2, 16)
+    monkeypatch.setitem(ctx._cache, "witness", {})
+    rs = factor_artin_schreier(inst(ctx, trace_zero_sample(ctx, Random(16))))
+    assert rs.method == "table" and rs.notes["n_2"] == 16
+    assert calls == []
+
+
 # (constructor, extra arguments, context failing its precondition, error)
 _PRECONDITION_FAILURES = [
     (root_coprime, (), (2, 4, 1), WrongNpCase),
@@ -758,8 +803,7 @@ def test_skipped_constructor_keeps_its_not_applicable():
     while tb is not None:
         depth, tb = depth + 1, tb.tb_next
     assert depth <= 3
-    for key, error in [(("table",), UnsupportedTwoPart), (("p2mod3",), WrongCongruence),
-                       (("np_p",), WrongNpCase)]:
+    for key, error in [(("table",), UnsupportedTwoPart), (("np_p",), WrongNpCase)]:
         assert isinstance(cached[key], error), key
 
 

