@@ -1,16 +1,17 @@
 """Integer factorization sized for group orders up to 2^64.
 
-Trial division up to 10^4 strips small primes, and stops as soon as
-what is left passes a deterministic Miller-Rabin test, which runs first
-and again after each prime is stripped.  Inputs above 2^64, the largest
-group order the field scale limit allows, are refused rather than
-attempted.  The primes are returned in ascending order.
+The primes below 10^4 are stripped by one gcd with their product, built
+once per process at the first call; the primes are walked, and divided
+out, only while that gcd exceeds 1.  Inputs above 2^64, the largest group
+order the field scale limit allows, are refused rather than attempted.
+Each cofactor left is tested once by a deterministic Miller-Rabin test.
+The primes are returned in ascending order.
 
-A composite that survives trial division is split by its algebraic
-factors first.  Group orders have the form m = r^k - 1, and r^d - 1
-divides m for every d dividing k (Brillhart et al., Factorizations of
-b^n +- 1, 1988), so a gcd with r^d - 1 splits off whole cyclotomic
-parts: 2^62 - 1 = 3 * 715827883 * 2147483647 loses 2^31 - 1 to one gcd.
+A composite cofactor is split by its algebraic factors first.  Group
+orders have the form m = r^k - 1, and r^d - 1 divides m for every d
+dividing k (Brillhart et al., Factorizations of b^n +- 1, 1988), so a
+gcd with r^d - 1 splits off whole cyclotomic parts: 2^62 - 1 =
+3 * 715827883 * 2147483647 loses 2^31 - 1 to one gcd.
 The form is found once, with integer k-th roots of m + 1, taking the
 least r.  Pollard rho with Floyd's cycle detection splits what no such
 gcd splits.  Any gcd strictly between 1 and a cofactor divides it, so
@@ -20,12 +21,27 @@ the answer does not depend on the form being found.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import compress
 
 from .errors import BadInput, FactorizationTooHard
 from .polys import is_prime
 
-_TRIAL_LIMIT = 10**4
+_STRIP_LIMIT = 10**4
 _FACTOR_BOUND = 2**64
+
+
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below _STRIP_LIMIT, by the sieve of Eratosthenes, and
+    their product: 1229 primes, a product of about 14000 bits."""
+    sieve = bytearray([1]) * _STRIP_LIMIT
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(_STRIP_LIMIT - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, _STRIP_LIMIT, i)))
+    primes = tuple(compress(range(_STRIP_LIMIT), sieve))
+    return primes, math.prod(primes)
 
 
 def p_part(n: int, p: int) -> int:
@@ -108,15 +124,18 @@ def factorint(m: int) -> dict[int, int]:
         )
     whole = m
     out: dict[int, int] = {}
-    d = 2
-    prime_left = is_prime(m)
-    while not prime_left and d <= _TRIAL_LIMIT and d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                out[d] = out.get(d, 0) + 1
-                m //= d
-            prime_left = is_prime(m)
-        d += 1 if d == 2 else 2
+    primes, product = _small_primes()
+    g = math.gcd(m, product)
+    for q in primes:
+        if g == 1:
+            break
+        if g % q == 0:
+            g //= q
+            k = 0
+            while m % q == 0:
+                m //= q
+                k += 1
+            out[q] = k
     stack, algebraic = ([m] if m > 1 else []), None
     while stack:
         v = stack.pop()

@@ -39,10 +39,11 @@ remainder-only loop, and converts only the inputs and the answer; ``//``,
 ``%`` and ``xgcd`` go through the same division.
 
 Loops that multiply again and again modulo one polynomial f of degree n
-(``pow_mod``, Ben-Or's Frobenius steps, the trace or power map in
-equal-degree splitting, the order of t and the partial traces in
-``bigpoly``) keep their residues in a reducer from ``_reducer(f)``, which
-has one interface for every p (op. cit., 14.2 and 14.3):
+(``pow_mod``, Ben-Or's Frobenius steps, the trace or norm in equal-degree
+splitting, and in ``bigpoly`` the Gauss periods that split cyclotomic
+polynomials, the order of t and the partial traces) keep their residues in
+a reducer from ``_reducer(f)``, which has one interface for every p
+(op. cit., 14.2 and 14.3):
 
 * over F_2, ``_F2Reducer`` holds a residue as the bits of one int.  The
   square of a is its binary numeral read in base 4, which puts bit i at
@@ -58,6 +59,16 @@ has one interface for every p (op. cit., 14.2 and 14.3):
   quotient times -f at most p - 1 + (n-1) (p-1)^2; so one packer for n
   products serves them all, and the Newton steps that build the inverse
   too.
+
+The Frobenius map h -> h^p mod f of a reducer (``frobenius``) is the
+squaring over F_2.  Over odd p it is F_p-linear, and when one power costs
+at least the n - 1 products that build its columns t^(p i) mod f, it is
+one packed matrix-vector product whose slots each sum n products of
+residues (von zur Gathen & Shoup, Computing Frobenius maps and factoring
+polynomials, 1992); otherwise it is a power.  Ben-Or's test and the
+distinct-degree split step with it, and equal-degree splitting takes the
+norm w w^p ... w^(p^(d-1)) with it before one power of exponent (p-1)/2.
+Each map is built by the call that uses it and dropped with it.
 """
 
 from __future__ import annotations
@@ -195,9 +206,12 @@ class _Reducer:
     one int, and ``_reducer(f)`` picks between the two: ``lift`` takes a
     PrimePoly to its residue, ``poly`` takes a residue back, ``mul``,
     ``square``, ``pow``, ``add`` and ``minus_t`` (h - t, for n >= 2) stay
-    on residues, ``gcd`` is the monic gcd of f and a residue, and
-    ``random`` draws a residue.  ``fields`` builds this class for every
-    p, since its callers index the coefficients.
+    on residues, ``reduce`` takes a residue mod a multiple of f to one mod
+    f, ``frobenius`` is the map h -> h^p, ``gcd`` is the monic gcd of f
+    and a residue, ``halves`` gives the reducers mod that gcd and its
+    cofactor, ``modulus`` gives f back, and ``random`` draws a residue.
+    ``fields`` builds this class for every p, since its callers index the
+    coefficients.
 
     A product of residues has degree at most 2n - 2.  Its quotient by f
     comes from ``inv``, the packed G = rev(f)^-1 mod t^(n-1), which Newton
@@ -299,6 +313,52 @@ class _Reducer:
                 r = self._reduce(pack(r) * base, len(r) + la - 1)
         return r
 
+    def reduce(self, a):
+        """The residue mod f of a residue mod a multiple of f, by Barrett
+        reductions of 2n - 1 coefficients at a time from the top: each
+        leaves n, and the next n - 1 coefficients below join them."""
+        n = self.n
+        if n == 1:
+            return self.lift(_poly(self.p, _trimmed(a)))
+        r, end = [], len(a)
+        while end:
+            start = max(0, end - (2 * n - 1 - len(r)))
+            r = [*a[start:end], *r]
+            end = start
+            if len(r) > n:
+                r = self._reduce(self.pack(r), len(r))
+        return r
+
+    def modulus(self) -> "PrimePoly":
+        return self.mod
+
+    def halves(self, a):
+        """The reducers mod h = gcd(f, a) and mod f / h when h is a
+        proper factor of f, else None."""
+        h = self.gcd(a)
+        return [_Reducer(h), _Reducer(self.mod // h)] if 0 < h.degree < self.n else None
+
+    def frobenius(self):
+        """The map h -> h^p mod f on residues: when ``_linear_frobenius``,
+        one packed matrix-vector product on the columns t^(p i) mod f, each
+        slot a sum of n products of residues; otherwise ``pow(h, p)``."""
+        p, n = self.p, self.n
+        if not _linear_frobenius(p, n):
+            return lambda h: self.pow(h, p)
+        t_p = self.pow(self.lift(_poly(p, (0, 1))), p)
+        col, cols, pack, unpack = (1,), [1], self.pack, self.unpack
+        for _ in range(n - 1):
+            col = self.mul(col, t_p)
+            cols.append(pack(col))
+        return lambda h: unpack(sum(map(mul, h, cols)), n)
+
+
+def _linear_frobenius(p: int, n: int) -> bool:
+    """Is the Frobenius map mod a polynomial of degree n over F_p, p odd,
+    one matrix-vector product?  Yes when one power, about 1.5 log2 p
+    products, costs at least the n - 1 products that build the matrix."""
+    return p != 2 and 3 * p.bit_length() >= 2 * n
+
 
 def _trimmed(cs) -> tuple:
     """The ints of cs without its trailing zeros."""
@@ -347,9 +407,15 @@ def _f2_mod(a: int, b: int) -> int:
 
 
 def _f2_gcd(a: int, b: int) -> int:
-    """The gcd of F_2 polynomials held as bits, by remainders only."""
+    """The gcd of F_2 polynomials held as bits, by remainders only: the
+    loop of ``_f2_mod`` inlined, one shift and one XOR per bit cleared."""
     while b:
-        a, b = b, _f2_mod(a, b)
+        db = b.bit_length()
+        k = a.bit_length() - db
+        while k >= 0:
+            a ^= b << k
+            k = a.bit_length() - db
+        a, b = b, a
     return a
 
 
@@ -396,8 +462,27 @@ class _F2Reducer:
             raise DivisionByZero("reduction mod the zero polynomial")
         self.n, self.f = f.degree, _bits(f.coeffs)
 
+    @classmethod
+    def _of(cls, f: int) -> "_F2Reducer":
+        """The reducer mod the nonzero F_2 polynomial held in the bits of f."""
+        self = object.__new__(cls)
+        self.n, self.f = f.bit_length() - 1, f
+        return self
+
     def lift(self, g: "PrimePoly") -> int:
         return _f2_mod(_bits(g.coeffs), self.f)
+
+    def reduce(self, a: int) -> int:
+        return _f2_mod(a, self.f)
+
+    def modulus(self) -> "PrimePoly":
+        return self.poly(self.f)
+
+    def halves(self, a: int):
+        h = _f2_gcd(self.f, a)
+        if not 0 < h.bit_length() - 1 < self.n:
+            return None
+        return [_F2Reducer._of(h), _F2Reducer._of(_f2_divmod(self.f, h)[0])]
 
     def poly(self, a: int) -> "PrimePoly":
         return _poly(2, _unbits(a))
@@ -433,6 +518,10 @@ class _F2Reducer:
                 r = r << 1 if a == 2 else _f2_mul(_f2_mod(r, f), a)
             r = _f2_mod(r, f)
         return r
+
+    def frobenius(self):
+        """The map h -> h^2 mod f: a squaring."""
+        return self.square
 
 
 def _reducer(f: "PrimePoly"):
@@ -749,15 +838,39 @@ def xgcd(a: PrimePoly, b: PrimePoly):
 
 
 def is_irreducible(f: PrimePoly) -> bool:
-    """Ben-Or's irreducibility test over F_p.
+    """Ben-Or's irreducibility test over F_p (Ben-Or, 1981).
 
     A reducible f of degree n has an irreducible factor of degree
-    d <= n/2, which divides t^(p^d) - t; so f is irreducible exactly when
-    the first piece of its distinct-degree split is f itself, of degree n.
+    d <= n/2, which divides t^(p^d) - t, and an irreducible f has none; so
+    with h_d = t^(p^d) mod f, f is irreducible exactly when every h_d - t,
+    d <= n/2, is coprime to f.  The h_d come from the Frobenius map of f,
+    and the h_d - t of one block of degrees (``_ben_or_block``) are
+    multiplied together mod f; the test stops at the first block whose
+    product is not coprime to f.
     """
-    if f.degree <= 0:
+    n = f.degree
+    if n <= 0:
         return False
-    return next(distinct_degree_split(f.monic()))[1] == f.degree
+    red = _reducer(f)
+    frob, h, d, cap = red.frobenius(), red.lift(_poly(f.p, (0, 1))), 0, max(1, isqrt(n))
+    while 2 * (d + 1) <= n:
+        block = []
+        for _ in range(_ben_or_block(d, cap, n)):
+            h = frob(h)
+            block.append(red.minus_t(h))
+        d += len(block)
+        if red.gcd(reduce(red.mul, block)).degree:
+            return False
+    return True
+
+
+def _ben_or_block(d: int, cap: int, m: int) -> int:
+    """How many degrees Ben-Or's block after degree d holds, when m is the
+    degree not yet split and cap = max(1, isqrt(n)) for the whole degree n:
+    max(d, 1), so 1, 1, 2, 4, ..., at most cap and at most up to m / 2.
+    Most polynomials have a factor of small degree, which the short first
+    blocks find after few products."""
+    return min(max(d, 1), cap, m // 2 - d)
 
 
 #: The default moduli found so far, oldest first; past
@@ -884,16 +997,17 @@ def distinct_degree_split(f: PrimePoly):
     it is asked for.
 
     With h_d = t^(p^d) mod f, the factors of degree d divide h_d - t.
-    The h_d - t of a block of degrees are multiplied together mod the
-    part not yet split, and one gcd per block finds whether any of them
-    has a factor there; only then is the block gone through degree by
-    degree, so the pieces are the same as one gcd per degree gives.  The
-    block after degree d holds max(d, 1) degrees, up to sqrt(deg f):
-    1, 1, 2, 4, ...  Most polynomials have a factor of small degree,
-    which the short first blocks find after few products.
+    Each h_d is one step of the Frobenius map (``frobenius``), taken mod
+    the part not yet split: the matrix of f, once built, stays, and its
+    output is reduced mod that part.  The h_d - t of a block of degrees
+    (``_ben_or_block``) are multiplied together mod that part, and one gcd
+    per block finds whether any of them has a factor there; only then is
+    the block gone through degree by degree, so the pieces are the same as
+    one gcd per degree gives.
     """
     p = f.p
     rest, d, red = f, 0, _reducer(f)
+    frob, linear = red.frobenius(), _linear_frobenius(p, f.degree)
     h = red.lift(_poly(p, (0, 1)))
     cap = max(1, isqrt(f.degree))
     while rest.degree > 0:
@@ -903,9 +1017,15 @@ def distinct_degree_split(f: PrimePoly):
         if red.n != rest.degree:
             old, red = red, _reducer(rest)
             h = red.lift(old.poly(h))
+            # a matrix is kept and its output reduced; a squaring or a
+            # power mod rest costs nothing to set up
+            if linear:
+                frob = (lambda h, red=red, full=frob: red.reduce(full(h)))
+            else:
+                frob = red.frobenius()
         hs = []
-        for _ in range(min(max(d, 1), cap, rest.degree // 2 - d)):
-            h = red.pow(h, p)
+        for _ in range(_ben_or_block(d, cap, rest.degree)):
+            h = frob(h)
             hs.append(h)
         block = red.gcd(reduce(red.mul, map(red.minus_t, hs)))
         for hd in hs:
@@ -922,41 +1042,50 @@ def distinct_degree_split(f: PrimePoly):
                 block = block // g
 
 
+def _split_by(red, w, d: int, frob=None):
+    """The reducers mod the proper factor h of g that the residue w cuts
+    out and mod g / h (``halves``), or None when w cuts out none.  red
+    is the reducer mod g, and every irreducible factor of g has degree d.
+
+    Over F_2, h = gcd(g, w + w^2 + ... + w^(2^(d-1))), the trace of w
+    onto F_2.  Otherwise h = gcd(g, w^((p^d-1)/2) - 1), the power taken
+    as (w w^p ... w^(p^(d-1)))^((p-1)/2): the norm of w onto F_p, by
+    d - 1 steps of frob, the Frobenius map of red, raised to (p-1)/2
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 14.3).
+    """
+    acc = w
+    two = type(red) is _F2Reducer
+    for _ in range(d - 1):
+        w = frob(w)
+        acc = red.add(acc, w) if two else red.mul(acc, w)
+    if not two:
+        p = red.p
+        acc = red.add(red.pow(acc, (p - 1) // 2), red.lift(_poly(p, (p - 1,))))
+    return red.halves(acc)
+
+
 def equal_degree_split(f: PrimePoly, d: int, rng: Random | None = None) -> list[PrimePoly]:
     """Split monic squarefree f, all of whose irreducible factors have
     degree d, into those factors (Cantor-Zassenhaus).
 
-    The splitting elements come from a seeded generator, so the call is
+    Each piece is split by ``_split_by`` on residues drawn from a seeded
+    generator until one cuts out a proper factor, so the call is
     deterministic; the returned list is sorted by coefficient tuple.
     """
-    p = f.p
     if rng is None:
         rng = Random(0xA590)
-    if f.degree == d:
-        return [f]
-    pieces = [f]
+    pieces = [_reducer(f)]
     done: list[PrimePoly] = []
     while pieces:
-        g = pieces.pop()
-        if g.degree == d:
-            done.append(g)
+        red = pieces.pop()
+        if red.n == d:
+            done.append(red.modulus())
             continue
-        red = _reducer(g)
-        w = red.random(rng)
-        if p == 2:
-            # trace map into F_2: u + u^2 + ... + u^(2^(d-1))
-            acc = w
-            for _ in range(d - 1):
-                w = red.square(w)
-                acc = red.add(acc, w)
-        else:
-            acc = red.add(red.pow(w, (p**d - 1) // 2), red.lift(_poly(p, (p - 1,))))
-        h = red.gcd(acc)
-        if 0 < h.degree < g.degree:
-            pieces.append(h)
-            pieces.append(g // h)
-        else:
-            pieces.append(g)
+        frob = red.frobenius() if d > 1 else None
+        halves = None
+        while halves is None:
+            halves = _split_by(red, red.random(rng), d, frob)
+        pieces += halves
     return sorted(done, key=lambda q: q.coeffs)
 
 

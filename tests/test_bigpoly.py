@@ -33,7 +33,7 @@ from as90.errors import (
 )
 from as90.fields import element_order, make_ctx
 from as90.intfactor import factorint
-from as90.polys import PrimePoly, factor, is_irreducible, is_prime
+from as90.polys import PrimePoly, equal_degree_split, factor, is_irreducible, is_prime
 from period_scan import naive_period, partial_sums_of_t
 
 
@@ -227,6 +227,29 @@ def test_factor_cyclotomic_shape_and_determinism():
         assert prod == cyclotomic_prime(r, p)
         assert any(classify(g).is_big for g in out)
         assert factor_cyclotomic(r, p) == out
+
+
+def _primes(lo, hi):
+    return [r for r in range(lo, hi) if is_prime(r)]
+
+
+#: (r, p) for factor_cyclotomic against seeded equal-degree splitting:
+#: small p with r < 260, and p = 65521 with r < 60, where the Gauss
+#: periods split Phi_r into linear factors, or into factors of degree
+#: ord_r(65521) = 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 20 and 29.
+CYCLOTOMIC_GRID = [(r, p) for p in (2, 3, 5, 7, 11, 13) for r in _primes(3, 260) if r != p]
+CYCLOTOMIC_GRID += [(r, 65521) for r in _primes(3, 60)]
+
+
+def test_factor_cyclotomic_matches_seeded_splitting():
+    # Gauss periods against the Cantor-Zassenhaus split with the seed that
+    # factor_cyclotomic used before it took no random draws
+    for r, p in CYCLOTOMIC_GRID:
+        e = ord_mod(r, p)
+        phi = cyclotomic_prime(r, p)
+        got = factor_cyclotomic(r, p)
+        assert got == equal_degree_split(phi, e, Random(0xA590)), (r, p)
+        assert all(g.degree == e for g in got) and len(got) == (r - 1) // e
 
 
 # -- tensor products ------------------------------------------------------------------
@@ -475,6 +498,14 @@ def test_verify_refuses_degrees_below_one():
     for n_2, candidate in cases:
         with pytest.raises(BadInput):
             verify_table_entry(n_2, candidate)
+
+
+def test_verify_without_candidate_needs_a_builtin_row():
+    # a degree with no built-in row is a domain error that names the rows
+    for n_2 in (1, 3, 6, 64):
+        with pytest.raises(BadInput, match=r"2, 4, 8, 16, 32"):
+            verify_table_entry(n_2)
+    assert verify_table_entry(6, find_big_primitive(6)).passed
 
 
 def test_table_period_rule_matches_reference_scan():

@@ -12,6 +12,7 @@ import pytest
 
 from as90 import cli
 from as90.fields import make_ctx
+from as90.polys import PrimePoly
 
 
 def run(capsys, *argv):
@@ -446,6 +447,68 @@ def test_optimized_interpreter_same_text_for_f2_residue_commands():
         assert plain.returncode == optimized.returncode == 0, argv
         assert plain.stdout and optimized.stdout == plain.stdout, argv
         assert optimized.stderr == plain.stderr == "", argv
+
+
+#: stdout of commands whose answers come from Gauss periods (cyclotomic),
+#: Ben-Or's test and the order of t (bigsearch, table --regen), as the
+#: seeded equal-degree splitting and the per-degree Ben-Or gave them
+FACTORING_OUTPUTS = {
+    ("cyclotomic", "--r", "31", "--p", "5"): """\
+Phi_31 over F_5: 10 irreducible factors of degree 3 = ord_31(5)
+  t^3+3t^2+4  [big]
+  t^3+4t^2+4  [big]
+  t^3+t+4  [small]
+  t^3+t^2+t+4  [big]
+  t^3+2t^2+t+4  [big]
+  t^3+2t+4  [small]
+  t^3+t^2+3t+4  [big]
+  t^3+4t^2+3t+4  [big]
+  t^3+2t^2+4t+4  [big]
+  t^3+4t^2+4t+4  [big]
+product matches Phi_31: true
+""",
+    ("cyclotomic", "--r", "13", "--p", "65521"): """\
+Phi_13 over F_65521: 12 irreducible factors of degree 1 = ord_13(65521)
+  t+2170  [big]
+  t+2659  [big]
+  t+3228  [big]
+  t+4983  [big]
+  t+5987  [big]
+  t+8612  [big]
+  t+33042  [big]
+  t+44355  [big]
+  t+46889  [big]
+  t+50966  [big]
+  t+61339  [big]
+  t+63376  [big]
+product matches Phi_13: true
+""",
+    ("bigsearch", "--e", "12"): """\
+lex-first big primitive of degree 12 over F_2: t^12+t^11+t^8+t^6+1
+root order: 4095
+""",
+    ("table", "--regen"): """\
+n_2 | symbol | m_z(t)
+2 | ω | t^2+t+1
+4 | α | t^4+t^3+1
+8 | β | t^8+t^7+t^5+t^3+1
+16 | γ | t^16+t^15+t^14+t^13+t^12+t^11+1
+32 | δ | t^32+t^31+t^30+t^29+t^27+t^25+1
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FACTORING_OUTPUTS))
+def test_factoring_commands_under_optimize(argv):
+    optimized = run_process(*argv, flags=("-O",))
+    assert optimized.returncode == 0, argv
+    assert optimized.stdout == FACTORING_OUTPUTS[argv], argv
+    if argv[0] == "cyclotomic":
+        r, p = int(argv[2]), int(argv[4])
+        product = PrimePoly.one(p)
+        for line in optimized.stdout.splitlines()[1:-1]:
+            product = product * PrimePoly.parse(line.split()[0], p)
+        assert product == PrimePoly(p, (1,) * r)
 
 
 def test_source_has_no_assert_statements():

@@ -150,3 +150,56 @@ def test_algebraic_split_and_rho(monkeypatch):
     monkeypatch.setattr(intfactor, "_algebraic_factors", lambda m: [])
     for m in REFERENCE:
         assert list(factorint(m).items()) == REFERENCE[m]
+
+
+def _trial_division(m):
+    """Reference: divide by every d with d * d <= m."""
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def test_factorint_matches_trial_division_below_twenty_thousand():
+    for m in range(1, 2 * 10**4):
+        got = factorint(m)
+        assert got == _trial_division(m), m
+        assert list(got) == sorted(got)
+
+
+#: primes on both sides of 10^4, where the gcd with the product of the
+#: primes below 10^4 stops stripping, and two far above it
+BELOW = (2, 3, 9931, 9941, 9949, 9967, 9973)
+ABOVE = (10007, 10009, 10037, 1000003, 4294967291)
+
+
+@pytest.mark.parametrize("exponents", [
+    {9973: 1, 10007: 1}, {9973: 2, 10007: 2}, {9967: 1, 9973: 1, 10007: 1, 10009: 1},
+    {2: 5, 9931: 1, 1000003: 1}, {3: 1, 9941: 1, 10037: 1, 4294967291: 1},
+    {9949: 3, 10009: 1}, {2: 1, 3: 1, 10007: 1, 10009: 1, 10037: 1}, {9973: 1, 4294967291: 1},
+    {10007: 2, 1000003: 1}, {10007: 1, 4294967291: 1}, {2: 63}, {3: 40}, {9973: 4},
+])
+def test_factorint_products_across_the_strip_limit(exponents):
+    assert set(exponents) <= set(BELOW + ABOVE)
+    m = 1
+    for q, k in exponents.items():
+        m *= q**k
+    assert m <= 2**64
+    assert factorint(m) == dict(sorted(exponents.items()))
+
+
+def test_each_cofactor_is_tested_once(monkeypatch):
+    from as90 import intfactor
+
+    seen = []
+    monkeypatch.setattr(intfactor, "is_prime", lambda v: seen.append(v) or is_prime(v))
+    assert factorint(2**61 - 1) == {2**61 - 1: 1}
+    assert seen == [2**61 - 1]
+    seen.clear()
+    assert factorint(2**64 - 1) == dict(REFERENCE[2**64 - 1])
+    assert len(seen) == len(set(seen))

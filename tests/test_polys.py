@@ -985,3 +985,57 @@ def test_f2_factor_multiplies_back():
         got = factor(f)
         assert all(is_irreducible(g) for g, _ in got)
         assert multiply_out(got, 2) == f
+
+
+# -- the Frobenius map h -> h^p mod f, and Ben-Or's test proper -------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**32 - 5, 2**61 - 1])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 25])
+def test_frobenius_matches_powering(p, n):
+    # irreducible, reducible (a product, a square, a multiple of t) and
+    # non-monic moduli; the map is applied to t, to residues with every
+    # slot at p - 1, to zero and one, to seeded residues, and twice in a row
+    rng = Random(f"{p}/{n}")
+    half = (n + 1) // 2
+    a = PrimePoly(p, [rng.randrange(p) for _ in range(half)] + [1])
+    b = PrimePoly(p, [rng.randrange(p) for _ in range(n - half)] + [1])
+    moduli = [random_irreducible(p, n, rng), a * b,
+              PrimePoly(p, [0] + [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)])]
+    if n % 2 == 0:
+        moduli.append(a * a if a.degree * 2 == n else a * b)
+    for f in moduli:
+        assert f.degree == n
+        red = _reducer(f)
+        frob = red.frobenius()
+        residues = [PrimePoly.x(p) % f, PrimePoly(p, [p - 1] * n), PrimePoly.zero(p),
+                    PrimePoly.one(p)] + [PrimePoly(p, [rng.randrange(p) for _ in range(n)])
+                                         for _ in range(4)]
+        for g in residues:
+            h = red.lift(g)
+            want = red.pow(h, p)
+            assert red.poly(frob(h)) == red.poly(want) == ref_pow(g, p, f), (f, g)
+            assert red.poly(frob(frob(h))) == red.poly(red.pow(want, p)), (f, g)
+
+
+def test_frobenius_matches_squaring_over_f2():
+    rng = Random(2)
+    for n in (1, 2, 7, 12, 25, 64):
+        red = _reducer(PrimePoly(2, random_f2(rng, n)))
+        frob = red.frobenius()
+        for _ in range(8):
+            h = rng.getrandbits(n)
+            assert frob(h) == red.square(h) == red.pow(h, 2)
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 8), (5, 5)])
+def test_is_irreducible_matches_first_distinct_degree_piece(p, top):
+    # Ben-Or stopped at the first block that shares a factor with f,
+    # against the first piece of the one-degree-at-a-time split, on every
+    # monic f of degree 1 .. top, squares and repeated factors included
+    for n in range(1, top + 1):
+        for rest in product(range(p), repeat=n):
+            f = PrimePoly(p, rest + (1,))
+            want = next(ref_distinct_degree_split(f))[1] == n
+            assert is_irreducible(f) == want, f
+            assert (next(distinct_degree_split(f))[1] == n) == want, f
