@@ -16,7 +16,8 @@ from math import gcd
 from operator import mul
 
 from ._record import Record
-from .errors import BadInput, EqualPrimes, NotFound, NotPrime, OrderTooLarge, ZeroPolynomial
+from .errors import (BadInput, EqualPrimes, FactorizationTooHard, NotFound, NotPrime,
+                     OrderTooLarge, ZeroPolynomial)
 from .intfactor import factorint, least_divisor
 from .polys import (
     PrimePoly,
@@ -267,6 +268,8 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
         raise BadInput("degree must be positive")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if e > 64:  # p^e - 1 >= 2^e - 1, past the ceiling, refused before p^e is built
+        raise FactorizationTooHard(f"{p}^{e} - 1 exceeds the factorization ceiling 2^64")
     group = p**e - 1
     factors = factorint(group)  # may raise FactorizationTooHard
     seen = 0

@@ -170,7 +170,7 @@ def _make_ctx_cached(p, n, modulus, f):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise BadInput("extension degree must be at least 1")
-    if p**n > SCALE_LIMIT:
+    if n >= SCALE_LIMIT.bit_length() or p**n > SCALE_LIMIT:  # p^n >= 2^n: no huge p^n built
         raise FieldTooLarge(f"{p}^{n} exceeds the supported scale 2^64")
     if f < 1 or n % f != 0:
         raise BadSubfieldStep(f"subfield step {f} does not divide {n}")
@@ -342,14 +342,7 @@ class FieldElem:
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _walk(e, 0, self, lambda a, b, _: a * b) if e else self.ctx.one()
 
     # -- structure ----------------------------------------------------------
 
@@ -487,6 +480,35 @@ def _subfield_step(ctx: FieldCtx, d: int | None) -> int:
     return d
 
 
+def _walk(length: int, step: int, block, join):
+    """The block of ``length`` >= 1 from ``block``, the block of length 1,
+    by doubling along the bits of ``length``, low first (von zur Gathen &
+    Shoup, 1992).  ``join(first, second, shift)`` is ``first`` followed by
+    ``second``, shift = step * len(first); it runs O(log length) times.
+    With a product as join the block of length e is the e-th power."""
+    out = None
+    while length:
+        if length & 1:
+            out = block if out is None else join(block, out, step)
+        length >>= 1
+        if length:
+            block, step = join(block, block, step), 2 * step
+    return out
+
+
+def _orbit_sum(v: FieldElem, length: int, step: int) -> FieldElem:
+    """S_L(v) = sum_{i<L} F^i(v), F = x -> x^(p^step), L = ``length``.  A
+    block is its sum; a join, F^shift of the second plus the first, is
+    one packed sum, n (p-1)^2 + p - 1 a slot."""
+    ctx, kern = v.ctx, _kernel(v.ctx)
+
+    def join(first, second, shift):
+        cols = _frob_cols(ctx, shift)
+        return kern.unpack(sum(map(operator.mul, second, cols)) + kern.pack(first), ctx.n)
+
+    return FieldElem(ctx, tuple(_walk(length, step, v.coeffs, join))) if length else ctx.zero()
+
+
 def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
     """Trace of a from GF(p^n) onto the degree-``down_to`` subfield
     (default: the designated subfield GF(q)).  The result is returned as
@@ -494,8 +516,8 @@ def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
 
     Onto F_p it is sum_k a_k s_k, s_k = Tr(t^k) the k-th power sum of the
     modulus's roots, kept in ``ctx._cache["trace"][1]``.  Onto GF(p^d) it
-    is sum_{i<n/d} F^i(a), F = x -> x^(p^d), by doubling along the bits
-    of n/d, low first, on the Frobenius powers F^(2^j) ``_r_raw`` uses.
+    is the orbit sum S_{n/d}(a) = sum_{i<n/d} F^i(a), F = x -> x^(p^d),
+    taken by ``_walk`` on the cached Frobenius powers F^(2^j).
     """
     ctx = a.ctx
     d = _subfield_step(ctx, down_to)
@@ -504,19 +526,7 @@ def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
         if 1 not in cache:
             cache[1] = _power_sums(ctx.modulus, ctx.n - 1, ctx.p)
         return ctx.elem(sum(map(operator.mul, a.coeffs, cache[1])))
-    kern = _kernel(ctx)
-    pack, unpack, n = kern.pack, kern.unpack, ctx.n
-    # block is S(2^j); F^(2^j) x + y is one packed sum, n (p-1)^2 + p - 1 a slot
-    block, out, m, shift = a.coeffs, None, n // d, d
-    while True:
-        if m & 1:
-            out = block if out is None else unpack(
-                sum(map(operator.mul, out, _frob_cols(ctx, shift))) + pack(block), n)
-        m >>= 1
-        if not m:
-            return FieldElem(ctx, tuple(out))
-        block = unpack(sum(map(operator.mul, block, _frob_cols(ctx, shift))) + pack(block), n)
-        shift *= 2
+    return _orbit_sum(a, ctx.n // d, d)
 
 
 def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
@@ -706,8 +716,10 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
     coordinatewise (von zur Gathen & Gerhard, Modern Computer Algebra,
     ch. 14).  For a in ctx the absolute trace of aX in A is
     sum_{k<n} phi^k(a) (X^(p^k) mod g), phi: x -> x^p, whose X-parts have
-    F_p coefficients and period d; so w = T(aX) + s, s in F_p, costs n
-    Frobenius steps and has the coordinates Tr(a theta_i) + s in F_p.
+    F_p coefficients and period d: its terms with k = j mod d sum to
+    phi^j(S_{n/d}(a)), the orbit sum under phi^d.  So w = T(aX) + s, s in
+    F_p, costs one walk and d - 1 Frobenius steps, and has the
+    coordinates Tr(a theta_i) + s in F_p.
     Then w (p = 2) or (u + u^2)/2 with u = w^((p-1)/2) is an idempotent,
     1 where w is a nonzero square.  Starting from e = 1, e is multiplied
     by it whenever the product is neither 0 nor e, which separates each
@@ -732,20 +744,15 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
             theta = FieldElem(ctx, low) / FieldElem(ctx, top) - g.coeffs[d - 1]
             if _at(g, theta).is_zero():
                 return theta
-        a = ctx.random_element(rng).coeffs
-        folded = [0] * d  # packed sum of phi^k(a) over k = j mod d
-        for k in range(n):
-            folded[k % d] += kern.pack(a)
-            a = kern.combine(a, frob)
+        conj_t = [_orbit_sum(ctx.random_element(rng), n // d, d).coeffs]
+        for _ in range(d - 1):  # phi^j(T), the sum of phi^k(a) over k = j mod d
+            conj_t.append(kern.combine(conj_t[-1], frob))
+        folded = [kern.pack(c) for c in conj_t]
         w = [kern.combine(row, folded) for row in conj_rows]
         w[0] = ((w[0][0] + rng.randrange(p)) % p, *w[0][1:])
         w = pack(w)
         if p != 2:
-            u = w
-            for bit in bin((p - 1) // 2)[3:]:
-                u = mul(u, u)
-                if bit == "1":
-                    u = mul(u, w)
+            u = _walk((p - 1) // 2, 0, w, lambda a, b, _: mul(a, b))
             w = pack(unpack(half * (u + mul(u, u))))  # below p^2 <= n d (p-1)^2, d > 1
         w = mul(e, w)
         if w and w != e:

@@ -28,6 +28,7 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElem,
+    _walk,
     degree_over_subfield,
     frobenius,
     make_ctx,
@@ -160,8 +161,8 @@ def partial_trace_sequence(z: FieldElem, length: int | None = None, k: int = 1) 
     packaged with their period.
 
     x_0 .. x_m determine every other term, so ``length`` defaults to
-    m + 1, and the period is read off those terms
-    (``partial_sum_period``) however many are stored.
+    m + 1.  The period comes from ``partial_sum_period``, which stores no
+    term, however many are stored here.
     """
     ctx = z.ctx
     _check_generator(ctx, k)
@@ -177,24 +178,13 @@ def _r_raw(a: FieldElem, b: FieldElem, k: int = 1) -> FieldElem:
     """R(a, b) = sum_{i<m} x_i sigma^{ik}(a), x_i = sum_{j<i} sigma^{jk}(b),
     no checks.
 
-    Evaluated by doubling (von zur Gathen & Shoup, 1992).  A block of
-    length L is (A, X, Y) = (sum_{i<L} x_i sigma^{ik}(a), x_L,
+    Evaluated by the doubling walk ``fields._walk``.  A block of length
+    L is (A, X, Y) = (sum_{i<L} x_i sigma^{ik}(a), x_L,
     sum_{i<L} sigma^{ik}(a)), and R(a, b) is the A of the block of
-    length m.  Along the bits of m, low first, the block of length 2^i
-    is doubled and, when bit i is set, put in front of the result; both
-    steps shift by sigma^{k 2^i} only, so a call costs O(log m) cached
-    Frobenius powers instead of 2m Frobenius steps.
+    length m.  Each join shifts by one sigma^{k 2^i}, so a call costs
+    O(log m) cached Frobenius powers instead of 2m Frobenius steps.
     """
-    m, step = a.ctx.m, k
-    block, out = (a.ctx.zero(), b, a), None
-    while True:
-        if m & 1:
-            out = block if out is None else _join(block, out, step)
-        m >>= 1
-        if not m:
-            return out[0]
-        block = _join(block, block, step)
-        step *= 2
+    return _walk(a.ctx.m, k, (a.ctx.zero(), b, a), _join)[0]
 
 
 def _join(first, second, step):

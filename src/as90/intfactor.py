@@ -120,7 +120,7 @@ def factorint(m: int) -> dict[int, int]:
         raise BadInput("factorint needs a positive integer")
     if m > _FACTOR_BOUND:
         raise FactorizationTooHard(
-            f"{m} exceeds the factorization ceiling {_FACTOR_BOUND}"
+            f"a {m.bit_length()}-bit integer exceeds the factorization ceiling 2^64"
         )
     whole = m
     out: dict[int, int] = {}

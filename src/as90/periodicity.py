@@ -4,15 +4,15 @@ For z with trace one over the base subfield, the running partial sums
 x_i = z + sigma(z) + ... + sigma^{i-1}(z) repeat with period exactly
 p*e, where e is the degree of z over the base and p the characteristic.
 The statement (period, divisibility by the p-part, nonvanishing between
-wrap-arounds) is checked from x_0 .. x_m, since d is a period exactly
-when x_d = 0.
+wrap-arounds) is checked on the x_d at the divisors d of p*m, each an
+orbit sum taken by doubling, since d is a period exactly when x_d = 0.
 """
 
 from __future__ import annotations
 
 from ._record import Record
 from .errors import TraceNotOne
-from .fields import FieldElem, degree_over_subfield, frobenius, trace
+from .fields import FieldElem, _orbit_sum, degree_over_subfield, frobenius, trace
 from .intfactor import factorint, least_divisor, p_part
 
 
@@ -66,18 +66,18 @@ def partial_trace_terms(z: FieldElem, length: int, k: int = 1) -> list[FieldElem
 
 
 def partial_sum_period(z: FieldElem, k: int = 1) -> int:
-    """Least period of x_i = sum_{j<i} sigma^{jk}(z), from x_0 .. x_m,
-    for k prime to m.
+    """Least period of x_i = sum_{j<i} sigma^{jk}(z), for k prime to m.
 
     x_{i+d} - x_i = sigma^{ik}(x_d), so the periods are the zeros of x.
     sigma^k has order m, so x_d = x_{d mod m} + floor(d/m) x_m, and p*m
     is a period: the period is the least divisor of p*m with x_d = 0.
+    Each x_d probed is S_{d mod m}(z) + floor(d/m) S_m(z), orbit sums
+    under sigma^k, by doubling; no term is stored.
     """
-    p, m = z.ctx.p, z.ctx.m
-    terms = partial_trace_terms(z, m + 1, k)
-    return least_divisor(
-        p * m, factorint(p * m), lambda d: (terms[d % m] + (d // m) * terms[m]).is_zero()
-    )
+    p, m, step = z.ctx.p, z.ctx.m, z.ctx.f * k
+    whole = _orbit_sum(z, m, step)
+    return least_divisor(p * m, factorint(p * m),
+                         lambda d: (_orbit_sum(z, d % m, step) + d // m * whole).is_zero())
 
 
 def verify_period_theorem(z: FieldElem) -> PeriodReport:

@@ -658,13 +658,12 @@ class PrimePoly:
                 sign = -1
                 term = term[1:]
             m = _TERM_RE.match(term)
-            if m:
-                c = int(m.group(1)) if m.group(1) else 1
-                k = int(m.group(2)) if m.group(2) else 1
-            elif term.isdigit():
-                c, k = int(term), 0
-            else:
+            if not m and not term.isdigit():
                 raise BadInput(f"cannot parse term {term!r}")
+            try:
+                c, k = (int(m.group(1) or 1), int(m.group(2) or 1)) if m else (int(term), 0)
+            except ValueError:  # past the interpreter's limit on the digits of int text
+                raise BadInput(f"cannot read a number in a {len(term)}-character term") from None
             coeffs[k] = coeffs.get(k, 0) + sign * c
         return p, coeffs
 

@@ -398,7 +398,10 @@ def test_optimized_interpreter_same_output():
     # trace criterion and the solved witness sum conjugates by doubling too
     for argv in (("root", "--p", "2", "--n", "64", "--y", "t+t^2", "--json"),
                  ("root", "--p", "3", "--n", "12", "--f", "2", "--y", "t^9-t", "--json"),
-                 ("h90", "--p", "2", "--n", "6", "--y", "t+t^4", "--z", "t^3", "--json")):
+                 ("h90", "--p", "2", "--n", "6", "--y", "t+t^4", "--z", "t^3", "--json"),
+                 # the prime-r witness check reads the period off orbit sums
+                 ("root", "--p", "4294967291", "--n", "2", "--y", "0", "--method", "prime-r",
+                  "--r", "3", "--json")):
         plain = run_process(*argv)
         optimized = run_process(*argv, flags=("-O",))
         assert plain.returncode == optimized.returncode == 0, argv
@@ -417,7 +420,10 @@ def test_optimized_interpreter_same_output():
                   "--seed", "3", "--json"),
                  ("period", "--p", "3", "--n", "12", "--f", "2", "--json"),
                  ("period", "--p", "2", "--n", "6", "--f", "2", "--json"),
-                 ("period", "--p", "4294967291", "--n", "2", "--json")):
+                 ("period", "--p", "4294967291", "--n", "2", "--json"),
+                 # the period's guards on orbit sums: m = 64, and a base of degree 4
+                 ("period", "--p", "2", "--n", "64", "--json"),
+                 ("period", "--p", "2", "--n", "12", "--f", "4", "--json")):
         plain = run_process(*argv)
         optimized = run_process(*argv, flags=("-O",))
         assert plain.returncode == optimized.returncode == 0, argv
@@ -663,7 +669,7 @@ def test_huge_exponent_in_element_text_is_reduced():
     ("root", "--p", "4294967291", "--n", "2", "--y", "0", "--method", "prime-r", "--r", "3"),
 ])
 def test_period_at_huge_primes(argv):
-    # the period p*e is read off m + 1 partial sums, never 2*p*e stored ones
+    # the period p*e is read off orbit sums x_d at the divisors d of p*m; no term is stored
     proc = run_process(*argv, "--json", timeout=60, address_space=2**30)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
@@ -687,11 +693,28 @@ def test_huge_cyclotomic_index_is_domain_error(argv):
     ("root", "--p", "2", "--n", "8", "--modulus", "t^1000000000+t^8+t^4+t^3+t^2+1", "--y", "1"),
     ("tensor", "--p", "2", "--a", "t^1000000000", "--b", "t+1"),
     ("tensor", "--p", "2", "--a", "t+1", "--b", "p:2;coeffs:" + ",".join(["1"] * 40000)),
+    # numbers past the interpreter's 4300-digit limit on int text
+    ("root", "--p", "2", "--n", "8", "--modulus", "t^" + "1" * 5000, "--y", "1"),
+    ("tensor", "--p", "2", "--a", "t^" + "1" * 5000, "--b", "t"),
 ])
 def test_huge_polynomial_text_is_domain_error(argv):
     # the degree is read off the text before any coefficient list is built
     proc = run_process(*argv, timeout=60, address_space=2**30)
     assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("root", "--p", "2", "--n", "1000000000", "--y", "1"),
+    ("root", "--p", "2", "--n", "100000000000", "--y", "1"),
+    ("period", "--p", "3", "--n", "1000000000"),
+    ("bigsearch", "--e", "20000"),
+    ("bigsearch", "--e", "1000000000"),
+])
+def test_huge_degree_is_domain_error(argv):
+    # refused from the degree alone, before p^n is built
+    proc = run_process(*argv, timeout=60, address_space=2**30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 subfields, embeddings, discrete logs, and root extraction."""
 
 from functools import lru_cache
+import math
 from random import Random
 
 import pytest
@@ -38,6 +39,7 @@ from as90.fields import (
     trace,
 )
 from as90.intfactor import p_part
+from as90.periodicity import partial_trace_terms
 from as90.polys import PrimePoly, _count_vectors, is_irreducible, is_prime
 
 
@@ -323,6 +325,39 @@ def test_trace_surjectivity_band():
     hits = sum(1 for _ in range(500) if not trace(ctx.random_element(rng), 2).is_zero())
     expected = 500 * (1 - 1 / 9)
     assert abs(hits - expected) < 60
+
+
+# -- orbit sums S_L(v) = sum_{i<L} F^i(v), F = x -> x^(p^step) -------------------
+
+@pytest.mark.parametrize("p, n, f", [
+    (2, 8, 1), (2, 8, 2), (2, 8, 4), (2, 12, 4), (3, 8, 1), (3, 8, 2), (3, 8, 4),
+    (5, 8, 1), (5, 8, 2), (5, 8, 4), (65521, 4, 1), (65521, 4, 2), (65521, 4, 4),
+    (2**32 - 5, 2, 1), (2**32 - 5, 2, 2),  # f = 4 would need (2^32 - 5)^4 > 2^64
+])
+def test_orbit_sum_matches_partial_trace_terms(p, n, f):
+    # S_L with step f k is the partial sum x_L of sigma^k, for every
+    # length up to 2m + 1: the empty sum, whole orbits and past them
+    ctx = make_ctx(p, n, f=f)
+    m, rng = ctx.m, Random(p + n + f)
+    samples = [ctx.one(), ctx.gen(), FieldElem(ctx, (p - 1,) * n), ctx.random_element(rng)]
+    for k in [k for k in range(1, m + 1) if math.gcd(k, m) == 1] + [-1]:
+        for v in samples:
+            terms = partial_trace_terms(v, 2 * m + 2, k)
+            for length, want in enumerate(terms):
+                assert fields._orbit_sum(v, length, f * k) == want, (k, v, length)
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 12), (5, 8), (7, 6), (65521, 4), (2, 1)])
+def test_trace_is_the_orbit_sum_by_powering(p, n):
+    # Tr onto GF(p^d) for every d | n against sum_{i<n/d} a^(p^(d i)),
+    # each conjugate taken by square-and-multiply
+    ctx = make_ctx(p, n)
+    for a in [ctx.gen(), FieldElem(ctx, (p - 1,) * n)] + rand_elems(ctx, 2, seed=p):
+        for d in divisors(n):
+            want, conj = ctx.zero(), a
+            for _ in range(n // d):
+                want, conj = want + conj, conj ** (p**d)
+            assert trace(a, d) == want, (a, d)
 
 
 # -- subfields, orders, logs --------------------------------------------------
@@ -614,6 +649,71 @@ def test_embed_deterministic():
     a = subfield_embed(F4.gen(), ctx)
     b = subfield_embed(F4.gen(), ctx)
     assert a == b
+
+
+#: (p, source modulus, target modulus) -> (the root ``_one_root`` finds,
+#: the embedding image), as the n single Frobenius steps of its trace fold
+#: gave them; the source degree is below the target's except in the last row
+PINNED_ROOTS = {
+    (2, "t^4+t^3+1", "t^8+t^7+t^5+t^4+1"): ("t^7+t^5+t^3", "t^7+t^5+t^3"),
+    (2, "t^8+t^7+t^5+t^4+1", "t^64+t^63+t^61+t^60+1"): (
+        "t^63+t^60+t^59+t^58+t^55+t^54+t^53+t^51+t^50+t^45+t^42+t^36+t^35+t^34+t^33+t^32"
+        "+t^29+t^23+t^21+t^19+t^18+t^15+t^14+t^13+t^11+t^9+t^8+t^7+t^3+t^2+t+1",
+        "t^63+t^58+t^54+t^53+t^51+t^50+t^48+t^47+t^44+t^43+t^38+t^35+t^34+t^29+t^25+t^23"
+        "+t^17+t^14+t^12+t^11+t^10+t^8+t^7+t^3"),
+    (2, "t^16+t^15+t^13+t^11+1", "t^32+t^30+t^29+t^25+1"): (
+        "t^30+t^29+t^28+t^26+t^25+t^24+t^23+t^20+t^19+t^18+t^17+t^11+t^9+t^8+t^5+t",
+        "t^31+t^29+t^21+t^19+t^17+t^13+t^7+t^6+t^4+t^3+t^2"),
+    (2, "t^32+t^31+t^3+t+1", "t^64+t^63+t^61+t^60+1"): (
+        "t^63+t^62+t^60+t^59+t^58+t^55+t^54+t^53+t^52+t^51+t^46+t^44+t^43+t^41+t^39+t^36"
+        "+t^34+t^28+t^24+t^23+t^21+t^19+t^18+t^17+t^16+t^13+t^10+t^8+t^5+t^3",
+        "t^62+t^60+t^59+t^58+t^57+t^56+t^55+t^54+t^53+t^52+t^50+t^49+t^47+t^46+t^43+t^40"
+        "+t^38+t^33+t^31+t^29+t^27+t^26+t^21+t^20+t^19+t^18+t^17+t^16+t^13+t^9+t^5+t^4"),
+    (2, "t^6+t^5+1", "t^24+t^23+t^21+t^20+1"): (
+        "t^22+t^17+t^15+t^14+t^10+t^8+t^6+t^5+t^3+1",
+        "t^20+t^19+t^18+t^17+t^16+t^14+t^13+t^11+t^9+t^8+t^7+t^6+t^2"),
+    (3, "t^4+t^3+t^2+1", "t^12+t^11+t^8+1"): (
+        "2t^8+2t^7+2t^6+2t^5+2t^4+t^3+2t^2+2t", "2t^8+2t^7+2t^6+2t^5+2t^4+t^3+2t^2+2t"),
+    (3, "t^5+2t^4+1", "t^40+t^37+t^36+1"): (
+        "t^39+2t^38+2t^35+2t^34+2t^33+t^32+t^30+2t^28+t^27+2t^26+2t^25+t^23+2t^22+t^20"
+        "+2t^19+t^17+t^14+2t^13+t^11+t^10+t^9+t^8+t^7+t^6+2t^5+t^4+t^2+1",
+        "t^39+t^38+t^36+t^35+t^31+2t^30+t^29+t^26+2t^25+2t^21+2t^20+2t^19+t^18+2t^16"
+        "+2t^13+t^12+t^11+t^10+2t^8+t^7+t^6+2t^5+2t^4+t^3+t^2"),
+    (3, "t^9+t^7+2t^6+1", "t^27+2t^26+2t^25+t^24+t^22+1"): (
+        "t^26+2t^25+t^22+2t^20+t^19+2t^18+2t^16+2t^15+2t^14+2t^12+t^11+2t^10+2t^8+2t^7"
+        "+t^4+2t^3+2t^2+t+1",
+        "2t^26+2t^24+2t^21+t^20+2t^19+2t^18+t^16+2t^15+t^14+t^13+t^12+t^11+t^10+2t^9"
+        "+2t^8+2t^7+2t^5+t^2+t"),
+    (5, "t^3+t^2+1", "t^27+t^26+1"): (
+        "t^26+t^25+4t^24+t^23+2t^21+4t^17+2t^15+3t^14+t^13+t^12+t^11+2t^10+t^9+2t^7+t^6"
+        "+3t^5+4t^4+3t^3+3",
+        "4t^26+2t^25+2t^24+4t^23+4t^22+t^21+2t^20+4t^18+4t^16+4t^15+4t^14+2t^13+t^12"
+        "+t^10+4t^9+3t^8+3t^7+3t^6+4t^5+4t^4+2t^3+3t^2+t+2"),
+    (7, "t^7+6t^6+1", "t^14+3t^13+1"): (
+        "2t^13+5t^12+2t^10+t^9+4t^8+3t^7+5t^6+3t^5+2t^4+4t^2+6t+5",
+        "5t^9+4t^8+3t^7+2t^5+2t^4+6t^3+2t"),
+    (65521, "t^2+15t+1", "t^4+3t^3+1"): (
+        "37826t^3+65327t^2+15337t+54314", "27695t^3+194t^2+50184t+11192"),
+    (2**32 - 5, "t+7", "t^2+1"): ("4294967284", "4294967284"),
+    (3, "t^2+t+2", "t^8+t^6+t^5+1"): ("t^7+t^6+t^4+2t^3+2t", "t^7+t^6+t^4+2t^3+2t"),
+    (5, "t^4+t^3+t+3", "t^20+t^19+t^18+1"): (
+        "2t^19+t^18+2t^17+t^16+t^15+2t^14+3t^13+4t^12+t^11+4t^10+4t^9+t^8+t^7+t^6+4t^5"
+        "+2t^4+2t^3+4t^2+4t+4",
+        "3t^19+t^17+t^16+2t^15+4t^14+3t^13+2t^12+t^11+2t^9+2t^8+3t^7+2t^6+2t^5+4t^4"
+        "+2t^3+3t^2+3t"),
+    (2, "t^12+t^9+1", "t^12+t^11+t^10+t^8+t^6+t^4+t^3+t+1"): (
+        "t^10+t^9+t^8+t^5+t^4+t^3", "t^9+t^6+t^3"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ROOTS, key=str))
+def test_one_root_and_embedding_image_pinned(key):
+    p, g, h = key
+    src = make_ctx(p, PrimePoly.parse(g, p).degree, modulus=g)
+    dst = make_ctx(p, PrimePoly.parse(h, p).degree, modulus=h)
+    root, image = PINNED_ROOTS[key]
+    assert str(fields._one_root(src.modulus, dst)) == root
+    assert str(fields._embedding_image(src, dst)) == image
 
 
 # -- the root finder against the schoolbook ctx[X] engine it replaced ----------

@@ -167,4 +167,5 @@ def test_partial_sum_period_matches_stored_scan(p, n, f):
         for k in (k for k in range(1, m + 1) if math.gcd(k, m) == 1):
             terms = [x.coeffs for x in partial_trace_terms(z, 2 * p * m, k)]
             want = naive_period(terms, p * m)
+            assert partial_sum_period(z, k) == want, (z, k, want)
             assert partial_trace_sequence(z, k=k).period == want, (z, k, want)
