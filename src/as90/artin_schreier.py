@@ -45,8 +45,7 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElem,
-    _frob_cols,
-    _matrix_rows,
+    _artin_schreier_rows,
     discrete_log,
     frobenius,
     make_ctx,
@@ -144,8 +143,7 @@ def brute_force_roots(inst: ArtinSchreierInstance, limit: int = BRUTE_FORCE_LIMI
             f"brute force over {ctx.order} elements exceeds the limit {limit}"
         )
     p, n = ctx.p, ctx.n
-    rows = [[(x - (r == c)) % p for c, x in enumerate(row)]
-            for r, row in enumerate(_matrix_rows(ctx, _frob_cols(ctx, ctx.f)))]
+    rows = _artin_schreier_rows(ctx, ctx.f)
     if n == 1:
         s = isqrt(p - 1) + 1
         side_a, side_b = [(a,) for a in range(0, p, s)], [(b,) for b in range(s)]

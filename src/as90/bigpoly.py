@@ -259,10 +259,10 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
     first) monic big irreducible of degree e whose root generates the
     multiplicative group of GF(p^e).
 
-    The t^{e-1} coefficient is forced to 1 up front (bigness needs it
-    nonzero, and 1 is the smallest choice over F_2), as is a nonzero
-    constant term.  Raises NotFound once ``budget`` candidates have been
-    examined.
+    For e >= 2 the t^{e-1} coefficient runs over 1 .. p - 1 and the constant
+    c over those with (-1)^e c a generator of F_p^*, as f(0) = (-1)^e N(root)
+    is: constants that cannot occur are skipped and do not count against
+    the budget.  Raises NotFound once ``budget`` candidates were examined.
     """
     if e < 1:
         raise BadInput("degree must be positive")
@@ -282,11 +282,12 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
             if _order_of_t_is(f, group, factors):
                 return f
         raise NotFound(f"no big primitive of degree 1 over F_{p} within budget")
-    c0_range = (1,) if p == 2 else tuple(range(1, p))
-    subleads = (1,) if p == 2 else tuple(range(1, p))
-    for c0 in c0_range:
+    units, sign = factorint(p - 1), (-1) ** e
+    for c0 in range(1, p):
+        if least_divisor(p - 1, units, lambda k: pow(sign * c0, k, p) == 1) != p - 1:
+            continue
         for mid in _count_vectors(p, e - 2):
-            for sub in subleads:
+            for sub in range(1, p):
                 seen += 1
                 if seen > budget:
                     raise NotFound(

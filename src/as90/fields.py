@@ -12,13 +12,14 @@ them runs on the packed F_p vectors of ``polys._packer``, the engine
 behind PrimePoly as well: with slots wide enough for n + 1 products of
 residues, one big-int product of two packed elements is the packed
 product polynomial, so the inner loops run in C.  The top n - 1
-coefficients are folded back with cached packed columns of
-t^(n+k) mod g.
+coefficients are folded back with packed columns of t^(n+k) mod g.
 
 Frobenius powers x -> x^(p^j) are F_p-linear; each context caches those
 it uses, its only n x n tables, as n packed columns, so after the first
 call one costs a matrix-vector product, sum_c v_c * column_c.  Traces
 are built from them and from the power sums of the modulus's roots.
+These columns, those of t^(n+k) mod g and the conjugates X^(p^j) mod g
+of a subfield's modulus g each come from one builder in ``polys``.
 
 A subfield GF(p^d) embeds by a root of its modulus g, read off an
 idempotent of ctx[X]/g; that ring packs on the same packer, d blocks of
@@ -49,10 +50,12 @@ from .errors import (
 from .intfactor import factorint, least_divisor
 from .polys import (
     PrimePoly,
-    _Reducer,
     _count_vectors,
+    _fold_columns,
+    _frobenius_columns,
     _packer,
     _power_sums,
+    _t_conjugates,
     default_modulus,
     is_irreducible,
     is_prime,
@@ -212,7 +215,7 @@ def make_ctx(p: int, n: int, modulus=None, f: int = 1) -> FieldCtx:
 class _Kernel:
     """Packed arithmetic of one field context, kept in ``ctx._cache``.
 
-    ``red[k]`` is the packed vector of t^(n+k) mod g for k < n - 1, so a
+    ``red[k]`` packs t^(n+k) mod g, k < n - 1 (``polys._fold_columns``), so a
     product polynomial sum_i c_i t^i reduces to
     sum_{i<n} c_i t^i + sum_k c_(n+k) red[k] in one pass.  Slots hold
     n + 1 products, so a matrix-vector product plus an element fits too.
@@ -221,15 +224,9 @@ class _Kernel:
     __slots__ = ("p", "n", "pack", "unpack", "red")
 
     def __init__(self, ctx: FieldCtx):
-        p, n, g = ctx.p, ctx.n, ctx.modulus.coeffs
-        self.p, self.n = p, n
-        _, self.pack, self.unpack = _packer(p, n + 1)
-        t_n = self.pack([-c % p for c in g[:n]])  # t^n = -(g_0 + ... + g_(n-1) t^(n-1))
-        self.red, col = [], t_n
-        for _ in range(n - 1):  # t^(n+k+1) = t * t^(n+k): shift, fold the top slot
-            self.red.append(col)
-            cs = self.unpack(col, n)
-            col = self.pack(self.unpack(self.pack([0, *cs[:-1]]) + cs[-1] * t_n, n))
+        self.p, self.n = ctx.p, ctx.n
+        _, self.pack, self.unpack = _packer(ctx.p, ctx.n + 1)
+        self.red = [self.pack(c) for c in _fold_columns(ctx.modulus)]
 
     def mul(self, a, b) -> tuple:
         pack, unpack, n = self.pack, self.unpack, self.n
@@ -380,12 +377,6 @@ def _mat_mul(a, b, kern: _Kernel):
     return [kern.pack(kern.combine(kern.unpack(col, kern.n), a)) for col in b]
 
 
-def _matrix_rows(ctx: FieldCtx, cols) -> list[list[int]]:
-    """Rows of the n x n matrix with the given packed columns."""
-    unpack = _kernel(ctx).unpack
-    return [list(row) for row in zip(*(unpack(col, ctx.n) for col in cols))]
-
-
 def _row_reduce(rows, ncols: int, p: int) -> list[int]:
     """Gauss-Jordan over F_p on the first ncols columns of rows, in
     place.  Returns the pivot columns; pivot row i (rows[i]) has a 1 in
@@ -444,10 +435,9 @@ def solve_in_span(columns, target, p: int):
 
 def _frob_cols(ctx: FieldCtx, j: int):
     """Packed columns of x -> x^(p^j) in the power basis, cached per
-    context.  A power that is the sum of two cached powers is their
-    matrix product; any other is built on its own, column i being
-    (t^(p^j))^i with t^(p^j) computed in the field, so power 0 is the
-    identity and no chain of lower powers is needed."""
+    context.  A power that is the sum of two cached powers is their matrix
+    product; any other is ``polys._frobenius_columns`` of t^(p^j), computed
+    in the field, so no chain of lower powers is needed."""
     j %= ctx.n
     cache = ctx._cache.setdefault("frob", {})
     if j not in cache:
@@ -457,10 +447,7 @@ def _frob_cols(ctx: FieldCtx, j: int):
             cache[j] = _mat_mul(cache[h], cache[(j - h) % ctx.n], kern)
         else:
             x = (ctx.gen() ** ctx.p**j).coeffs
-            powers = [ctx.one().coeffs]
-            for _ in range(ctx.n - 1):
-                powers.append(kern.mul(powers[-1], x))
-            cache[j] = [kern.pack(c) for c in powers]
+            cache[j] = _frobenius_columns(x, ctx.n, kern.mul, kern.pack)
     return cache[j]
 
 
@@ -545,6 +532,13 @@ def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
                          lambda k: kern.combine(a.coeffs, _frob_cols(ctx, d * k)) == a.coeffs)
 
 
+def _artin_schreier_rows(ctx: FieldCtx, d: int) -> list[list[int]]:
+    """Rows of the matrix of x -> x^(p^d) - x in the power basis."""
+    p, unpack = ctx.p, _kernel(ctx).unpack
+    cols = [unpack(col, ctx.n) for col in _frob_cols(ctx, d)]
+    return [[(x - (r == c)) % p for c, x in enumerate(row)] for r, row in enumerate(zip(*cols))]
+
+
 def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
     """All elements of the degree-d subfield of ctx, sorted by
     coefficient tuple.  The subfield is the kernel of x^(p^d) - x."""
@@ -554,12 +548,8 @@ def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
     key = ("subfield", d)
     if key in ctx._cache:
         return ctx._cache[key]
-    p = ctx.p
-    mat = _matrix_rows(ctx, _frob_cols(ctx, d))
-    for i in range(ctx.n):
-        mat[i][i] = (mat[i][i] - 1) % p
-    kern = _kernel(ctx)
-    basis = [kern.pack(b) for b in nullspace(mat, p)]
+    p, kern = ctx.p, _kernel(ctx)
+    basis = [kern.pack(b) for b in nullspace(_artin_schreier_rows(ctx, d), p)]
     if len(basis) != d:
         raise RuntimeError(f"the fixed space of x^({p}^{d}) has dimension {len(basis)}")
     out = {FieldElem(ctx, kern.combine(combo, basis)) for combo in _count_vectors(p, d)}
@@ -674,19 +664,15 @@ def _mod_g(g: PrimePoly, ctx: FieldCtx):
     ``pack`` puts the d coefficients (in ctx) of an element on
     ``_packer(p, n d)`` as X-blocks of 2n - 1 t-slots, so a product is
     one big-int product, at most n d products of residues per slot.
-    ``mul`` reads its slots mod p, folds block d + k into the low blocks
-    by the F_p coefficients of X^(d+k) mod g (at most
+    ``mul`` reads its slots mod p, folds block d + k into the low blocks by
+    the F_p coefficients of X^(d+k) mod g (``polys._fold_columns``; at most
     (d - 1)(p - 1)^2 + p - 1 per slot), reads them mod p again and folds
     each block's t-degree by the ``_Kernel``; no slot exceeds the width.
     """
     p, n, d = ctx.p, ctx.n, g.degree
     kern, b, gap = _kernel(ctx), 2 * n - 1, (0,) * (n - 1)
     _, pk, upk = _packer(p, n * d)
-    red, cols, col = _Reducer(g), [], [-c % p for c in g.coeffs[:d]]  # col = X^d mod g
-    for _ in range(d - 1):  # X^(d+k) mod g, k < d - 1
-        cols.append(tuple(col) + (0,) * (d - len(col)))
-        col = red.mul(col, (0, 1))
-    rows = list(zip(*cols)) or [()] * d
+    rows = list(zip(*_fold_columns(g))) or [()] * d  # row j: coefficient j of X^(d+k) mod g
 
     def pack(cs):
         return pk([x for c in cs for x in (*c, *gap)])
@@ -715,11 +701,11 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
     ctx^d, one coordinate per root theta_i, and its products act
     coordinatewise (von zur Gathen & Gerhard, Modern Computer Algebra,
     ch. 14).  For a in ctx the absolute trace of aX in A is
-    sum_{k<n} phi^k(a) (X^(p^k) mod g), phi: x -> x^p, whose X-parts have
-    F_p coefficients and period d: its terms with k = j mod d sum to
-    phi^j(S_{n/d}(a)), the orbit sum under phi^d.  So w = T(aX) + s, s in
-    F_p, costs one walk and d - 1 Frobenius steps, and has the
-    coordinates Tr(a theta_i) + s in F_p.
+    sum_{k<n} phi^k(a) (X^(p^k) mod g), phi: x -> x^p, whose X-parts
+    (``polys._t_conjugates``) have F_p coefficients and period d: its
+    terms with k = j mod d sum to phi^j(S_{n/d}(a)), the orbit sum under
+    phi^d.  So w = T(aX) + s, s in F_p, costs one walk and d - 1
+    Frobenius steps, and has the coordinates Tr(a theta_i) + s in F_p.
     Then w (p = 2) or (u + u^2)/2 with u = w^((p-1)/2) is an idempotent,
     1 where w is a nonzero square.  Starting from e = 1, e is multiplied
     by it whenever the product is neither 0 nor e, which separates each
@@ -729,11 +715,7 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
     products are taken mod the fixed g: no gcd and no division.
     """
     p, n, d = ctx.p, ctx.n, g.degree
-    kern, frob, red = _kernel(ctx), _frob_cols(ctx, 1), _Reducer(g)
-    conj = [(PrimePoly.x(p) % g).coeffs]
-    for _ in range(d - 1):
-        conj.append(red.pow(conj[-1], p))
-    conj_rows = list(zip(*(tuple(c) + (0,) * (d - len(c)) for c in conj)))
+    kern, frob, conj_rows = _kernel(ctx), _frob_cols(ctx, 1), list(zip(*_t_conjugates(g)))
     pack, unpack, mul = _mod_g(g, ctx)
     zero, half = (0,) * n, (p + 1) // 2
     e = pack([ctx.one().coeffs] + [zero] * (d - 1))

@@ -45,11 +45,9 @@ polynomials, the order of t and the partial traces) keep their residues in
 a reducer from ``_reducer(f)``, which has one interface for every p
 (op. cit., 14.2 and 14.3):
 
-* over F_2, ``_F2Reducer`` holds a residue as the bits of one int.  The
-  square of a is its binary numeral read in base 4, which puts bit i at
-  bit 2i with no slot at all; a product is one Kronecker product on byte
-  slots whose parities are its bits; and the remainder is the same
-  shift-and-XOR loop that ``gcd`` runs.
+* over F_2, ``_F2Reducer`` holds a residue as the bits of one int: a
+  square is its binary numeral read in base 4, a product one Kronecker
+  product on byte slots, a remainder the shift-and-XOR loop of ``gcd``.
 * otherwise ``_Reducer`` holds coefficient sequences and reduces by
   Barrett division with a precomputed inverse of the reversed f (op. cit.,
   9.1), two packed products per reduction instead of one step per
@@ -68,7 +66,11 @@ residues (von zur Gathen & Shoup, Computing Frobenius maps and factoring
 polynomials, 1992); otherwise it is a power.  Ben-Or's test and the
 distinct-degree split step with it, and equal-degree splitting takes the
 norm w w^p ... w^(p^(d-1)) with it before one power of exponent (p-1)/2.
-Each map is built by the call that uses it and dropped with it.
+Each map is built by the call that uses it and dropped with it.  The
+tables of a modulus that ``fields`` keeps are built here, one routine each:
+the fold columns t^(n+k) mod f (``_fold_columns``), the columns x^i of a
+Frobenius power x = t^(p^j) mod f, which the matrix above uses too
+(``_frobenius_columns``), and t^(p^j) mod f for j < n (``_t_conjugates``).
 """
 
 from __future__ import annotations
@@ -210,8 +212,6 @@ class _Reducer:
     f, ``frobenius`` is the map h -> h^p, ``gcd`` is the monic gcd of f
     and a residue, ``halves`` gives the reducers mod that gcd and its
     cofactor, ``modulus`` gives f back, and ``random`` draws a residue.
-    ``fields`` builds this class for every p, since its callers index the
-    coefficients.
 
     A product of residues has degree at most 2n - 2.  Its quotient by f
     comes from ``inv``, the packed G = rev(f)^-1 mod t^(n-1), which Newton
@@ -342,14 +342,10 @@ class _Reducer:
         """The map h -> h^p mod f on residues: when ``_linear_frobenius``,
         one packed matrix-vector product on the columns t^(p i) mod f, each
         slot a sum of n products of residues; otherwise ``pow(h, p)``."""
-        p, n = self.p, self.n
+        p, n, unpack = self.p, self.n, self.unpack
         if not _linear_frobenius(p, n):
             return lambda h: self.pow(h, p)
-        t_p = self.pow(self.lift(_poly(p, (0, 1))), p)
-        col, cols, pack, unpack = (1,), [1], self.pack, self.unpack
-        for _ in range(n - 1):
-            col = self.mul(col, t_p)
-            cols.append(pack(col))
+        cols = _frobenius_columns(self.pow(self.lift(_poly(p, (0, 1))), p), n, self.mul, self.pack)
         return lambda h: unpack(sum(map(mul, h, cols)), n)
 
 
@@ -358,6 +354,38 @@ def _linear_frobenius(p: int, n: int) -> bool:
     one matrix-vector product?  Yes when one power, about 1.5 log2 p
     products, costs at least the n - 1 products that build the matrix."""
     return p != 2 and 3 * p.bit_length() >= 2 * n
+
+
+def _frobenius_columns(x, n: int, times, pack) -> list:
+    """The packed columns x^0 ... x^(n-1), each ``times`` the last and x:
+    the matrix of h -> h^(p^j) mod f when x = t^(p^j) mod f, deg f = n."""
+    cols, col = [pack((1,))], (1,)
+    for _ in range(n - 1):
+        col = times(col, x)
+        cols.append(pack(col))
+    return cols
+
+
+def _fold_columns(f: "PrimePoly") -> list[tuple]:
+    """t^(n+k) mod f, k < n - 1, for monic f of degree n, as n-tuples: each
+    is t times the last, its top coefficient folded back by t^n = -(f_0 +
+    ... + f_(n-1) t^(n-1)) in one packed sum (as in ``PrimePoly._combine``)."""
+    p, n, (_, pack, unpack) = f.p, f.degree, _packer(f.p, 1)
+    cols = [tuple(-c % p for c in f.coeffs[:n])]  # t^n
+    low = pack(cols[0])
+    while len(cols) < n - 1:
+        cols.append(tuple(unpack(pack((0, *cols[-1][:-1])) + cols[-1][-1] * low, n)))
+    return cols[:n - 1]
+
+
+def _t_conjugates(f: "PrimePoly") -> list[tuple]:
+    """t^(p^j) mod f for j < n = deg f, as n-tuples: t and n - 1 steps of
+    the Frobenius map of ``_reducer(f)``; the roots of f if irreducible."""
+    red, n = _reducer(f), f.degree
+    step, hs = red.frobenius(), [red.lift(_poly(f.p, (0, 1)))]
+    for _ in range(n - 1):
+        hs.append(step(hs[-1]))
+    return [cs + (0,) * (n - len(cs)) for cs in (red.poly(h).coeffs for h in hs)]
 
 
 def _trimmed(cs) -> tuple:
@@ -893,18 +921,9 @@ def default_modulus(p: int, n: int) -> PrimePoly:
         raise NotPrime(f"{p} is not prime")
     if n == 1:
         found = PrimePoly.x(p)  # t itself: smallest monic linear
-    else:
-        found = None
-        for c0 in range(1, p):
-            for rest in _count_vectors(p, n - 1):
-                f = PrimePoly._of(p, (c0,) + rest + (1,))
-                if is_irreducible(f):
-                    found = f
-                    break
-            if found is not None:
-                break
-        if found is None:  # not reachable: irreducibles exist in every degree
-            raise RuntimeError(f"no irreducible of degree {n} over F_{p}")
+    else:  # irreducibles exist in every degree, so one is found
+        found = next(f for c0 in range(1, p) for rest in _count_vectors(p, n - 1)
+                     if is_irreducible(f := PrimePoly._of(p, (c0,) + rest + (1,))))
     _DEFAULT_MODULUS_CACHE[key] = found
     if len(_DEFAULT_MODULUS_CACHE) > DEFAULT_MODULUS_CACHE_LIMIT:
         del _DEFAULT_MODULUS_CACHE[next(iter(_DEFAULT_MODULUS_CACHE))]

@@ -452,6 +452,54 @@ def test_find_big_primitive_budget():
         find_big_primitive(8, budget=3)
 
 
+#: find_big_primitive(e, p) -> (answer, candidates examined), for inputs
+#: whose search once spent its budget on constant terms c with (-1)^e c
+#: not a generator of F_p^*, which no primitive polynomial has.
+SKIPPED_CONSTANTS = {
+    (12, 3): ("t^12+2t^11+t^10+t^9+t^8+2", 28),
+    (9, 5): ("t^9+4t^8+2t^7+2", 12),
+    (7, 7): ("t^7+5t^6+2", 5),
+    (8, 5): ("t^8+t^7+2t^6+2", 9),
+}
+
+
+@pytest.mark.parametrize("e, p", sorted(SKIPPED_CONSTANTS))
+def test_find_big_primitive_skips_impossible_constants(e, p):
+    want, seen = SKIPPED_CONSTANTS[e, p]
+    got = find_big_primitive(e, p, budget=64)
+    assert str(got) == want
+    assert find_big_primitive(e, p, budget=seen) == got
+    with pytest.raises(NotFound):
+        find_big_primitive(e, p, budget=seen - 1)
+    assert element_order(make_ctx(p, e, modulus=got).gen()) == p**e - 1
+
+
+#: The answers of find_big_primitive(e, p) with the default budget, from
+#: before constants that no primitive polynomial has were skipped; skipping
+#: them changes how many candidates a search examines, never its answer.
+BIG_PRIMITIVE_ANSWERS = {
+    2: ["t^2+t+1", "t^3+t^2+1", "t^4+t^3+1", "t^5+t^4+t^3+t^2+1", "t^6+t^5+1", "t^7+t^6+1",
+        "t^8+t^7+t^5+t^3+1", "t^9+t^8+t^6+t^5+1", "t^10+t^9+t^7+t^6+1",
+        "t^11+t^10+t^9+t^7+1", "t^12+t^11+t^8+t^6+1", "t^13+t^12+t^10+t^9+1",
+        "t^14+t^13+t^11+t^9+1", "t^15+t^14+1", "t^16+t^15+t^14+t^13+t^12+t^11+1",
+        "t^17+t^16+t^15+t^14+1", "t^18+t^17+t^16+t^13+1", "t^19+t^18+t^17+t^14+1",
+        "t^20+t^19+t^16+t^14+1", "t^21+t^20+t^19+t^16+1", "t^22+t^21+1",
+        "t^23+t^22+t^20+t^18+1", "t^24+t^23+t^21+t^20+1"],
+    3: ["t^2+t+2", "t^3+2t^2+1", "t^4+t^3+2", "t^5+2t^4+1", "t^6+t^5+2", "t^7+2t^6+t^5+1",
+        "t^8+t^7+2t^6+t^4+2", "t^9+t^8+2t^7+2t^6+1", "t^10+t^9+t^7+2"],
+    5: ["t^2+t+2", "t^3+t^2+2", "t^4+t^3+2t^2+2", "t^5+3t^4+2", "t^6+t^5+2"],
+    7: ["t^2+t+3", "t^3+t^2+t+2", "t^4+t^3+t^2+3", "t^5+2t^4+2"],
+    11: ["t^2+4t+2", "t^3+t^2+3", "t^4+4t^3+2"],
+    13: ["t^2+t+2", "t^3+t^2+2", "t^4+6t^3+2t^2+2"],
+}
+
+
+@pytest.mark.parametrize("p", sorted(BIG_PRIMITIVE_ANSWERS))
+def test_find_big_primitive_answers_unchanged(p):
+    for e, want in enumerate(BIG_PRIMITIVE_ANSWERS[p], start=2):
+        assert str(find_big_primitive(e, p)) == want, (p, e)
+
+
 def test_builtin_rows_all_verify():
     for n_2 in TABLE_ROWS:
         rep = verify_table_entry(n_2)

@@ -365,6 +365,14 @@ def test_bigsearch_json(capsys):
     assert payload["class"] == "big"
 
 
+def test_bigsearch_skips_constants_no_primitive_has(capsys):
+    # the generators of F_5^* are 2 and 3, and (-1)^9 c is one of them only
+    # for c in {2, 3}: the constant 1 is not searched
+    code, out, _ = run(capsys, "bigsearch", "--e", "9", "--p", "5", "--budget", "64")
+    assert code == 0
+    assert out.splitlines()[0].endswith("t^9+4t^8+2t^7+2")
+
+
 # -- misc ---------------------------------------------------------------------------
 
 def test_optimized_interpreter_same_output():
@@ -574,6 +582,23 @@ def test_polynomial_layer_imports_no_field_layer():
             elif isinstance(node, ast.Import):
                 imported.update(part for a in node.names for part in a.name.split("."))
         assert not imported & upper, (name, sorted(imported & upper))
+
+
+def test_field_layer_builds_no_reducer_of_its_own():
+    # fields takes its tables of a modulus from the polys builders and
+    # reaches residues mod a polynomial only through polys._reducer
+    src = Path(__file__).resolve().parents[1] / "src" / "as90"
+    tree = ast.parse((src / "fields.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "_Reducer" not in names
+    assert {"_fold_columns", "_frobenius_columns", "_t_conjugates"} <= names
 
 
 def test_reference_exponents_checked_under_optimize():

@@ -1093,6 +1093,62 @@ def test_frobenius_inverse_builds_one_power():
     assert back == a ** 2**63 and frobenius(back, 1) == a
 
 
+#: (p, n) -> a dense irreducible modulus other than the default one.
+DENSE_MODULI = {
+    (2, 8): "t^8+t^7+t^6+t^5+t^4+t^2+1", (3, 12): None, (5, 3): None,
+    (65521, 4): None, (2**32 - 5, 2): None,
+}
+
+
+def dense_modulus(p, n):
+    """DENSE_MODULI[p, n], or a seeded irreducible with every coefficient
+    nonzero."""
+    if DENSE_MODULI[p, n]:
+        return PrimePoly.parse(DENSE_MODULI[p, n], p)
+    rng = Random(f"dense/{p}/{n}")
+    while True:
+        g = PrimePoly(p, [rng.randrange(1, p) for _ in range(n)] + [1])
+        if is_irreducible(g):
+            return g
+
+
+@pytest.mark.parametrize("pn", sorted(DENSE_MODULI))
+def test_kernel_tables_on_a_dense_modulus(pn):
+    # the fold columns of the kernel are t^(n+k) mod g, and column i of
+    # Frobenius power j is t^(i p^j) mod g, on a fresh context
+    p, n = pn
+    g = dense_modulus(p, n)
+    assert g != make_ctx(p, n).modulus and is_irreducible(g)
+    ctx = fields.FieldCtx(p, n, g)
+    kern = fields._kernel(ctx)
+    want = [reference_elem(ctx, PrimePoly.x(p, n + k)) for k in range(n - 1)]
+    assert [tuple(kern.unpack(c, n)) for c in kern.red] == want
+    for j in (3, 1, 2, n - 1):  # 3 first, so it is built on its own
+        want = [reference_elem(ctx, PrimePoly.x(p).pow_mod(i * p**j, g)) for i in range(n)]
+        assert dense(ctx, fields._frob_cols(ctx, j)) == [list(r) for r in zip(*want)], j
+
+
+def reference_artin_schreier_rows(ctx, d):
+    """Rows of x -> x^(p^d) - x: column c is t^(c p^d) - t^c mod the modulus."""
+    p, g = ctx.p, ctx.modulus
+    cols = [reference_elem(ctx, PrimePoly.x(p).pow_mod(c * p**d, g) - PrimePoly.x(p, c))
+            for c in range(ctx.n)]
+    return [list(r) for r in zip(*cols)]
+
+
+@pytest.mark.parametrize("p, n, modulus", [(2, 8, None), (2, 8, DENSE_MODULI[2, 8]),
+                                           (3, 6, None), (5, 4, None), (7, 2, None),
+                                           (65521, 4, None), (2**32 - 5, 2, None)])
+def test_artin_schreier_rows_match_powering(p, n, modulus):
+    ctx = make_ctx(p, n, modulus=modulus)
+    for d in range(1, n + 1):
+        rows = fields._artin_schreier_rows(ctx, d)
+        assert rows == reference_artin_schreier_rows(ctx, d), d
+        if n % d == 0 and p**d <= 2**12:  # the kernel is the subfield
+            assert len(nullspace(rows, p)) == d
+            assert len(subfield_elements(ctx, d)) == p**d
+
+
 def test_package_exports_resolve():
     import as90
 

@@ -1,6 +1,7 @@
 """Polynomial arithmetic over prime fields: parsing, division,
 irreducibility, factorization, and the default-modulus rule."""
 
+from functools import lru_cache
 import operator
 from itertools import product
 from random import Random
@@ -15,7 +16,10 @@ from as90.polys import (
     _F2Reducer,
     _Reducer,
     _f2_mul,
+    _fold_columns,
+    _frobenius_columns,
     _reducer,
+    _t_conjugates,
     default_modulus,
     distinct_degree_split,
     equal_degree_split,
@@ -1026,6 +1030,61 @@ def test_frobenius_matches_squaring_over_f2():
         for _ in range(8):
             h = rng.getrandbits(n)
             assert frob(h) == red.square(h) == red.pow(h, 2)
+
+
+# -- the tables of a modulus: fold columns, Frobenius columns, conjugates of t
+
+
+def padded(g, n):
+    """The coefficient tuple of g, zero-padded to length n."""
+    return g.coeffs + (0,) * (n - len(g.coeffs))
+
+
+@lru_cache(maxsize=None)
+def builder_moduli(p, n):
+    """The default modulus of degree n over F_p and a seeded dense monic
+    f that is not: over odd p every coefficient is nonzero, over F_2 the
+    constant and at least half of the others.  The tables need no
+    irreducible f."""
+    rng = Random(f"builders/{p}/{n}")
+    default = default_modulus(p, n)
+    while True:
+        f = PrimePoly(p, [rng.randrange(p > 2, p) for _ in range(n)] + [1])
+        if (p > 2 or f[0] and 2 * sum(f.coeffs) >= n + 2) and f != default:
+            return default, f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**32 - 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+def test_fold_columns_match_division(p, n):
+    for f in builder_moduli(p, n):
+        cols = _fold_columns(f)
+        assert cols == [padded(PrimePoly.x(p, n + k) % f, n) for k in range(n - 1)], f
+        assert all(type(c) is tuple for c in cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**32 - 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+def test_frobenius_columns_match_powering(p, n):
+    # column i of power j is t^(i p^j) mod f, on the reducer's own packing
+    for f in builder_moduli(p, n):
+        red = _Reducer(f)
+        for j in sorted({0, 1, 2, n - 1}):
+            x = red.lift(PrimePoly.x(p).pow_mod(p**j, f))
+            cols = _frobenius_columns(x, n, red.mul, red.pack)
+            assert [tuple(red.unpack(c, n)) for c in cols] == [
+                padded(PrimePoly.x(p).pow_mod(i * p**j, f), n) for i in range(n)], (f, j)
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (2, 3), (2, 8), (2, 16), (2, 32), (3, 1), (3, 5),
+                                  (3, 12), (5, 7), (65521, 1), (65521, 4), (65521, 12),
+                                  (65521, 32), (2**32 - 5, 8)])
+def test_t_conjugates_match_powering(p, d):
+    # over F_2 the step is a squaring; over F_65521 it is the matrix up to
+    # degree 25 and a power at 32
+    for g in builder_moduli(p, d):
+        assert _t_conjugates(g) == [padded(PrimePoly.x(p).pow_mod(p**j, g), d)
+                                    for j in range(d)], g
 
 
 @pytest.mark.parametrize("p, top", [(2, 8), (3, 8), (5, 5)])
