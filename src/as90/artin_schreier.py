@@ -33,6 +33,7 @@ from operator import add, mul
 from ._record import Record
 from .bigpoly import TABLE_ROWS, classify, factor_cyclotomic, ord_mod
 from .errors import (
+    BadInput,
     BadOrder,
     FieldTooLarge,
     NoRoot,
@@ -365,6 +366,9 @@ def root_p2mod3(ctx: FieldCtx):
 
 @lru_cache(maxsize=None)
 def _table_ctx(n_2: int) -> FieldCtx:
+    if n_2 not in TABLE_ROWS:
+        raise BadInput(f"no built-in table row of degree {n_2}; the rows are "
+                       f"{', '.join(map(str, TABLE_ROWS))}")
     return make_ctx(2, n_2, modulus=TABLE_ROWS[n_2][1])
 
 
@@ -375,7 +379,7 @@ def table_exponent_sequence(n_2: int) -> tuple:
 
     Where reference values exist they are checked against the computed
     logs, so any drift in the table data or the log machinery trips
-    immediately.
+    immediately.  An n_2 with no table row raises BadInput.
     """
     z = _table_ctx(n_2).gen()
     terms = partial_trace_terms(z, 2 * n_2)

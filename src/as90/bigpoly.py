@@ -259,10 +259,11 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
     first) monic big irreducible of degree e whose root generates the
     multiplicative group of GF(p^e).
 
-    For e >= 2 the t^{e-1} coefficient runs over 1 .. p - 1 and the constant
-    c over those with (-1)^e c a generator of F_p^*, as f(0) = (-1)^e N(root)
-    is: constants that cannot occur are skipped and do not count against
-    the budget.  Raises NotFound once ``budget`` candidates were examined.
+    The constant c runs over those with (-1)^e c a generator of F_p^*, as
+    f(0) = (-1)^e N(root) is: constants that cannot occur are skipped and do
+    not count against the budget.  For e >= 2 the t^{e-1} coefficient runs
+    over 1 .. p - 1.  Raises NotFound once ``budget`` candidates were
+    examined.
     """
     if e < 1:
         raise BadInput("degree must be positive")
@@ -272,32 +273,21 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
         raise FactorizationTooHard(f"{p}^{e} - 1 exceeds the factorization ceiling 2^64")
     group = p**e - 1
     factors = factorint(group)  # may raise FactorizationTooHard
-    seen = 0
-    if e == 1:
-        for c0 in range(1, p):
-            seen += 1
-            if seen > budget:
-                break
-            f = PrimePoly._of(p, (c0, 1))
-            if _order_of_t_is(f, group, factors):
-                return f
-        raise NotFound(f"no big primitive of degree 1 over F_{p} within budget")
-    units, sign = factorint(p - 1), (-1) ** e
+    seen, units, sign = 0, factorint(p - 1), (-1) ** e
     for c0 in range(1, p):
         if least_divisor(p - 1, units, lambda k: pow(sign * c0, k, p) == 1) != p - 1:
             continue
-        for mid in _count_vectors(p, e - 2):
-            for sub in range(1, p):
-                seen += 1
-                if seen > budget:
-                    raise NotFound(
-                        f"budget of {budget} candidates exhausted for degree {e} over F_{p}"
-                    )
-                f = PrimePoly._of(p, (c0,) + mid + (sub, 1))
-                if not is_irreducible(f):
-                    continue
-                if _order_of_t_is(f, group, factors, divides=True):
-                    return f
+        tails = [()] if e == 1 else (
+            (*mid, sub) for mid in _count_vectors(p, e - 2) for sub in range(1, p))
+        for tail in tails:
+            seen += 1
+            if seen > budget:
+                raise NotFound(
+                    f"budget of {budget} candidates exhausted for degree {e} over F_{p}"
+                )
+            f = PrimePoly._of(p, (c0, *tail, 1))
+            if is_irreducible(f) and _order_of_t_is(f, group, factors, divides=True):
+                return f
     raise NotFound(f"no big primitive of degree {e} over F_{p}")
 
 

@@ -9,17 +9,18 @@ elements of distinct contexts never mix silently.
 
 Elements are tuples of n coefficients in range(p).  The arithmetic on
 them runs on the packed F_p vectors of ``polys._packer``, the engine
-behind PrimePoly as well: with slots wide enough for n + 1 products of
+behind PrimePoly as well: with slots wide enough for n products of
 residues, one big-int product of two packed elements is the packed
 product polynomial, so the inner loops run in C.  The top n - 1
-coefficients are folded back with packed columns of t^(n+k) mod g.
+coefficients are folded back by the linear map with columns t^(n+k) mod g.
 
-Frobenius powers x -> x^(p^j) are F_p-linear; each context caches those
-it uses, its only n x n tables, as n packed columns, so after the first
-call one costs a matrix-vector product, sum_c v_c * column_c.  Traces
-are built from them and from the power sums of the modulus's roots.
-These columns, those of t^(n+k) mod g and the conjugates X^(p^j) mod g
-of a subfield's modulus g each come from one builder in ``polys``.
+Every F_p-linear table here is a ``polys._Map``, which owns the packed
+columns and their slot bound.  Frobenius powers x -> x^(p^j) are maps;
+each context caches those it uses, its only n x n tables, so after the
+first call one costs a matrix-vector product.  Traces are built from them
+and from the power sums of the modulus's roots.  These maps, the fold
+columns and the conjugates X^(p^j) mod g of a subfield's modulus g each
+come from one builder in ``polys``.
 
 A subfield GF(p^d) embeds by a root of its modulus g, read off an
 idempotent of ctx[X]/g; that ring packs on the same packer, d blocks of
@@ -50,6 +51,7 @@ from .errors import (
 from .intfactor import factorint, least_divisor
 from .polys import (
     PrimePoly,
+    _Map,
     _count_vectors,
     _fold_columns,
     _frobenius_columns,
@@ -215,24 +217,22 @@ def make_ctx(p: int, n: int, modulus=None, f: int = 1) -> FieldCtx:
 class _Kernel:
     """Packed arithmetic of one field context, kept in ``ctx._cache``.
 
-    ``red[k]`` packs t^(n+k) mod g, k < n - 1 (``polys._fold_columns``), so a
-    product polynomial sum_i c_i t^i reduces to
-    sum_{i<n} c_i t^i + sum_k c_(n+k) red[k] in one pass.  Slots hold
-    n + 1 products, so a matrix-vector product plus an element fits too.
+    A slot holds the n products of residues of a field product.  ``red``
+    maps c_n ... c_(2n-2) to sum_k c_(n+k) t^(n+k) mod g, k < n - 1
+    (``polys._fold_columns``), so a product reduces in one ``apply_add``.
     """
 
     __slots__ = ("p", "n", "pack", "unpack", "red")
 
     def __init__(self, ctx: FieldCtx):
         self.p, self.n = ctx.p, ctx.n
-        _, self.pack, self.unpack = _packer(ctx.p, ctx.n + 1)
-        self.red = [self.pack(c) for c in _fold_columns(ctx.modulus)]
+        _, self.pack, self.unpack = _packer(ctx.p, ctx.n)
+        self.red = _Map(ctx.p, ctx.n, _fold_columns(ctx.modulus))
 
     def mul(self, a, b) -> tuple:
-        pack, unpack, n = self.pack, self.unpack, self.n
-        prod = unpack(pack(a) * pack(b), 2 * n - 1)
-        low = pack(prod[:n]) + sum(map(operator.mul, prod[n:], self.red))
-        return tuple(unpack(low, n))
+        n = self.n
+        prod = self.unpack(self.pack(a) * self.pack(b), 2 * n - 1)
+        return self.red.apply_add(prod[n:], prod[:n])
 
     def add(self, a, b) -> tuple:
         return tuple(self.unpack(self.pack(a) + self.pack(b), self.n))
@@ -242,11 +242,6 @@ class _Kernel:
 
     def neg(self, a) -> tuple:
         return tuple(self.unpack((self.p - 1) * self.pack(a), self.n))
-
-    def combine(self, scalars, packed) -> tuple:
-        """sum_c scalars[c] * packed[c], unpacked: with the packed columns
-        of a matrix this is the matrix-vector product."""
-        return tuple(self.unpack(sum(map(operator.mul, scalars, packed)), self.n))
 
 
 def _kernel(ctx: FieldCtx) -> _Kernel:
@@ -371,12 +366,6 @@ class FieldElem:
 # -- F_p linear algebra ----------------------------------------------------
 
 
-def _mat_mul(a, b, kern: _Kernel):
-    """a b for n x n matrices given as packed columns: column j is a
-    applied to column j of b."""
-    return [kern.pack(kern.combine(kern.unpack(col, kern.n), a)) for col in b]
-
-
 def _row_reduce(rows, ncols: int, p: int) -> list[int]:
     """Gauss-Jordan over F_p on the first ncols columns of rows, in
     place.  Returns the pivot columns; pivot row i (rows[i]) has a 1 in
@@ -433,21 +422,20 @@ def solve_in_span(columns, target, p: int):
 # -- Frobenius, trace, subfields --------------------------------------------
 
 
-def _frob_cols(ctx: FieldCtx, j: int):
-    """Packed columns of x -> x^(p^j) in the power basis, cached per
-    context.  A power that is the sum of two cached powers is their matrix
-    product; any other is ``polys._frobenius_columns`` of t^(p^j), computed
-    in the field, so no chain of lower powers is needed."""
+def _frob_cols(ctx: FieldCtx, j: int) -> _Map:
+    """The map x -> x^(p^j) in the power basis, cached per context.  A
+    power that is the sum of two cached powers is their composition; any
+    other is ``polys._frobenius_columns`` of t^(p^j), computed in the
+    field, so no chain of lower powers is needed."""
     j %= ctx.n
     cache = ctx._cache.setdefault("frob", {})
     if j not in cache:
-        kern = _kernel(ctx)
         h = next((h for h in cache if (j - h) % ctx.n in cache), None)
         if h is not None:
-            cache[j] = _mat_mul(cache[h], cache[(j - h) % ctx.n], kern)
+            cache[j] = cache[h] @ cache[(j - h) % ctx.n]
         else:
             x = (ctx.gen() ** ctx.p**j).coeffs
-            cache[j] = _frobenius_columns(x, ctx.n, kern.mul, kern.pack)
+            cache[j] = _frobenius_columns(ctx.p, x, ctx.n, _kernel(ctx).mul)
     return cache[j]
 
 
@@ -455,7 +443,7 @@ def frobenius(a: FieldElem, k: int = 1) -> FieldElem:
     """sigma^k(a) = a^(q^k), where sigma is the designated generator
     x -> x^q of the Galois group over GF(q).  k may be any integer."""
     ctx = a.ctx
-    return FieldElem(ctx, _kernel(ctx).combine(a.coeffs, _frob_cols(ctx, ctx.f * k)))
+    return FieldElem(ctx, _frob_cols(ctx, ctx.f * k).apply(a.coeffs))
 
 
 def _subfield_step(ctx: FieldCtx, d: int | None) -> int:
@@ -486,14 +474,12 @@ def _walk(length: int, step: int, block, join):
 def _orbit_sum(v: FieldElem, length: int, step: int) -> FieldElem:
     """S_L(v) = sum_{i<L} F^i(v), F = x -> x^(p^step), L = ``length``.  A
     block is its sum; a join, F^shift of the second plus the first, is
-    one packed sum, n (p-1)^2 + p - 1 a slot."""
-    ctx, kern = v.ctx, _kernel(v.ctx)
+    one ``apply_add`` of the cached map F^shift."""
 
     def join(first, second, shift):
-        cols = _frob_cols(ctx, shift)
-        return kern.unpack(sum(map(operator.mul, second, cols)) + kern.pack(first), ctx.n)
+        return _frob_cols(v.ctx, shift).apply_add(second, first)
 
-    return FieldElem(ctx, tuple(_walk(length, step, v.coeffs, join))) if length else ctx.zero()
+    return FieldElem(v.ctx, _walk(length, step, v.coeffs, join)) if length else v.ctx.zero()
 
 
 def trace(a: FieldElem, down_to: int | None = None) -> FieldElem:
@@ -527,16 +513,15 @@ def degree_over_subfield(a: FieldElem, d: int | None = None) -> int:
     """
     ctx = a.ctx
     d = _subfield_step(ctx, d)
-    kern, e = _kernel(ctx), ctx.n // d
+    e = ctx.n // d
     return least_divisor(e, factorint(e),
-                         lambda k: kern.combine(a.coeffs, _frob_cols(ctx, d * k)) == a.coeffs)
+                         lambda k: _frob_cols(ctx, d * k).apply(a.coeffs) == a.coeffs)
 
 
 def _artin_schreier_rows(ctx: FieldCtx, d: int) -> list[list[int]]:
     """Rows of the matrix of x -> x^(p^d) - x in the power basis."""
-    p, unpack = ctx.p, _kernel(ctx).unpack
-    cols = [unpack(col, ctx.n) for col in _frob_cols(ctx, d)]
-    return [[(x - (r == c)) % p for c, x in enumerate(row)] for r, row in enumerate(zip(*cols))]
+    rows = _frob_cols(ctx, d).rows()
+    return [[(x - (r == c)) % ctx.p for c, x in enumerate(row)] for r, row in enumerate(rows)]
 
 
 def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
@@ -545,18 +530,14 @@ def subfield_elements(ctx: FieldCtx, d: int | None = None) -> list[FieldElem]:
     d = _subfield_step(ctx, d)
     if ctx.p**d > 2**20:
         raise FieldTooLarge(f"refusing to enumerate {ctx.p}^{d} subfield elements")
-    key = ("subfield", d)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    p, kern = ctx.p, _kernel(ctx)
-    basis = [kern.pack(b) for b in nullspace(_artin_schreier_rows(ctx, d), p)]
-    if len(basis) != d:
-        raise RuntimeError(f"the fixed space of x^({p}^{d}) has dimension {len(basis)}")
-    out = {FieldElem(ctx, kern.combine(combo, basis)) for combo in _count_vectors(p, d)}
-    out = sorted(out, key=lambda e: e.coeffs)
+    p = ctx.p
+    basis = _Map(p, ctx.n, nullspace(_artin_schreier_rows(ctx, d), p))
+    if len(basis.cols) != d:
+        raise RuntimeError(f"the fixed space of x^({p}^{d}) has dimension {len(basis.cols)}")
+    out = sorted({FieldElem(ctx, basis.apply(combo)) for combo in _count_vectors(p, d)},
+                 key=lambda e: e.coeffs)
     if len(out) != p**d:
         raise RuntimeError(f"degree-{d} subfield has {len(out)} elements, not {p}^{d}")
-    ctx._cache[key] = out
     return out
 
 
@@ -667,10 +648,10 @@ def _mod_g(g: PrimePoly, ctx: FieldCtx):
     ``mul`` reads its slots mod p, folds block d + k into the low blocks by
     the F_p coefficients of X^(d+k) mod g (``polys._fold_columns``; at most
     (d - 1)(p - 1)^2 + p - 1 per slot), reads them mod p again and folds
-    each block's t-degree by the ``_Kernel``; no slot exceeds the width.
+    each block's t-degree by the kernel's ``red``; no slot exceeds the width.
     """
     p, n, d = ctx.p, ctx.n, g.degree
-    kern, b, gap = _kernel(ctx), 2 * n - 1, (0,) * (n - 1)
+    red, b, gap = _kernel(ctx).red, 2 * n - 1, (0,) * (n - 1)
     _, pk, upk = _packer(p, n * d)
     rows = list(zip(*_fold_columns(g))) or [()] * d  # row j: coefficient j of X^(d+k) mod g
 
@@ -683,7 +664,7 @@ def _mod_g(g: PrimePoly, ctx: FieldCtx):
         out = []
         for j, row in enumerate(rows):
             cj = upk(pk(c[j * b:(j + 1) * b]) + sum(map(operator.mul, row, high)), b)
-            out += kern.unpack(kern.pack(cj[:n]) + sum(map(operator.mul, cj[n:], kern.red)), n)
+            out += red.apply_add(cj[n:], cj[:n])
             out += gap
         return pk(out)
 
@@ -715,7 +696,7 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
     products are taken mod the fixed g: no gcd and no division.
     """
     p, n, d = ctx.p, ctx.n, g.degree
-    kern, frob, conj_rows = _kernel(ctx), _frob_cols(ctx, 1), list(zip(*_t_conjugates(g)))
+    frob, conj_rows = _frob_cols(ctx, 1), list(zip(*_t_conjugates(g)))
     pack, unpack, mul = _mod_g(g, ctx)
     zero, half = (0,) * n, (p + 1) // 2
     e = pack([ctx.one().coeffs] + [zero] * (d - 1))
@@ -728,9 +709,8 @@ def _one_root(g: PrimePoly, ctx: FieldCtx) -> FieldElem:
                 return theta
         conj_t = [_orbit_sum(ctx.random_element(rng), n // d, d).coeffs]
         for _ in range(d - 1):  # phi^j(T), the sum of phi^k(a) over k = j mod d
-            conj_t.append(kern.combine(conj_t[-1], frob))
-        folded = [kern.pack(c) for c in conj_t]
-        w = [kern.combine(row, folded) for row in conj_rows]
+            conj_t.append(frob.apply(conj_t[-1]))
+        w = list(map(_Map(p, n, conj_t).apply, conj_rows))
         w[0] = ((w[0][0] + rng.randrange(p)) % p, *w[0][1:])
         w = pack(w)
         if p != 2:
@@ -759,10 +739,10 @@ def _embedding_image(src: FieldCtx, dst: FieldCtx) -> FieldElem:
             theta = dst.gen()
         else:
             g = src.modulus
-            kern, frob = _kernel(dst), _frob_cols(dst, 1)
+            frob = _frob_cols(dst, 1)
             orbit = [_one_root(g, dst).coeffs]
             for _ in range(g.degree - 1):
-                orbit.append(kern.combine(orbit[-1], frob))
+                orbit.append(frob.apply(orbit[-1]))
             if len(set(orbit)) != g.degree:
                 raise RuntimeError(f"conjugates of a root of {g} are not distinct")
             theta = FieldElem(dst, min(orbit))

@@ -66,11 +66,13 @@ residues (von zur Gathen & Shoup, Computing Frobenius maps and factoring
 polynomials, 1992); otherwise it is a power.  Ben-Or's test and the
 distinct-degree split step with it, and equal-degree splitting takes the
 norm w w^p ... w^(p^(d-1)) with it before one power of exponent (p-1)/2.
-Each map is built by the call that uses it and dropped with it.  The
-tables of a modulus that ``fields`` keeps are built here, one routine each:
-the fold columns t^(n+k) mod f (``_fold_columns``), the columns x^i of a
-Frobenius power x = t^(p^j) mod f, which the matrix above uses too
-(``_frobenius_columns``), and t^(p^j) mod f for j < n (``_t_conjugates``).
+Each map is built by the call that uses it and dropped with it.  Every
+packed F_p-linear table is a ``_Map``, the only code that applies or
+composes packed columns.  The tables of a modulus that ``fields`` keeps
+are built here, one routine each: the fold columns t^(n+k) mod f
+(``_fold_columns``), the map with columns x^i of a Frobenius power
+x = t^(p^j) mod f, the matrix above among them (``_frobenius_columns``),
+and t^(p^j) mod f for j < n (``_t_conjugates``).
 """
 
 from __future__ import annotations
@@ -197,6 +199,34 @@ def _slots(p: int, w: int):
             raw = x.to_bytes(k * w, "little")
             return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, k * w, w)]
     return w, pack, unpack
+
+
+class _Map:
+    """The F_p-linear map v -> sum_c v_c col_c, its k columns of n residues
+    packed on ``_packer(p, k + 1)``: a slot sums k products of residues and
+    one residue, so the image of v plus a vector w is one packed sum.
+    Vectors are sequences of residues; images are n-tuples."""
+
+    __slots__ = ("p", "n", "cols", "pack", "unpack")
+
+    def __init__(self, p: int, n: int, cols):
+        _, self.pack, self.unpack = _packer(p, len(cols) + 1)
+        self.p, self.n, self.cols = p, n, [self.pack(c) for c in cols]
+
+    def apply(self, v) -> tuple:
+        return tuple(self.unpack(sum(map(mul, v, self.cols)), self.n))
+
+    def apply_add(self, v, w) -> tuple:
+        """The image of v plus w, in one packed sum."""
+        return tuple(self.unpack(sum(map(mul, v, self.cols)) + self.pack(w), self.n))
+
+    def __matmul__(self, other: "_Map") -> "_Map":
+        """self after other: column j is self applied to column j of other."""
+        return _Map(self.p, self.n, [self.apply(other.unpack(c, other.n)) for c in other.cols])
+
+    def rows(self) -> list[tuple]:
+        """The n rows of the matrix, row r holding entry r of every column."""
+        return list(zip(*(self.unpack(c, self.n) for c in self.cols)))
 
 
 class _Reducer:
@@ -340,13 +370,12 @@ class _Reducer:
 
     def frobenius(self):
         """The map h -> h^p mod f on residues: when ``_linear_frobenius``,
-        one packed matrix-vector product on the columns t^(p i) mod f, each
-        slot a sum of n products of residues; otherwise ``pow(h, p)``."""
-        p, n, unpack = self.p, self.n, self.unpack
+        ``apply`` of the ``_Map`` with columns t^(p i) mod f; otherwise
+        ``pow(h, p)``."""
+        p, n = self.p, self.n
         if not _linear_frobenius(p, n):
             return lambda h: self.pow(h, p)
-        cols = _frobenius_columns(self.pow(self.lift(_poly(p, (0, 1))), p), n, self.mul, self.pack)
-        return lambda h: unpack(sum(map(mul, h, cols)), n)
+        return _frobenius_columns(p, self.pow(self.lift(_poly(p, (0, 1))), p), n, self.mul).apply
 
 
 def _linear_frobenius(p: int, n: int) -> bool:
@@ -356,14 +385,13 @@ def _linear_frobenius(p: int, n: int) -> bool:
     return p != 2 and 3 * p.bit_length() >= 2 * n
 
 
-def _frobenius_columns(x, n: int, times, pack) -> list:
-    """The packed columns x^0 ... x^(n-1), each ``times`` the last and x:
-    the matrix of h -> h^(p^j) mod f when x = t^(p^j) mod f, deg f = n."""
-    cols, col = [pack((1,))], (1,)
+def _frobenius_columns(p: int, x, n: int, times) -> _Map:
+    """The map with columns x^0 ... x^(n-1), each ``times`` the last and x:
+    h -> h^(p^j) mod f when x = t^(p^j) mod f, deg f = n."""
+    cols = [(1,)]
     for _ in range(n - 1):
-        col = times(col, x)
-        cols.append(pack(col))
-    return cols
+        cols.append(times(cols[-1], x))
+    return _Map(p, n, cols)
 
 
 def _fold_columns(f: "PrimePoly") -> list[tuple]:

@@ -27,6 +27,7 @@ from as90.artin_schreier import (
 from as90 import artin_schreier, hilbert90
 from as90.bigpoly import TABLE_ROWS
 from as90.errors import (
+    BadInput,
     BadOrder,
     FieldTooLarge,
     NoRoot,
@@ -131,6 +132,17 @@ def test_rootset_materialization():
         x for x in ctx.elements_lex() if x not in rs
     )
     assert frobenius(outsider, 1) - outsider != y
+
+
+def test_roots_keep_no_subfield_list_in_the_context():
+    # the root set keeps its own shifted copy of GF(q); the context keeps
+    # no second one, and the roots are those of the exhaustive search
+    for p, n, f, seed in [(2, 4, 2, 42), (2, 8, 1, 8), (3, 4, 2, 3), (5, 2, 1, 5)]:
+        ctx = make_ctx(p, n, f=f)
+        y = trace_zero_sample(ctx, Random(seed))
+        rs = factor_artin_schreier(inst(ctx, y))
+        assert rs.roots() == brute_force_roots(inst(ctx, y)) and len(rs.roots()) == ctx.q
+        assert not [k for k in ctx._cache if isinstance(k, tuple) and k[0] == "subfield"]
 
 
 def test_records_compare_and_print_their_fields():
@@ -387,6 +399,14 @@ def test_table_exponents_match_reference_data():
         seq = table_exponent_sequence(n_2)
         assert list(seq[: len(known)]) == known
         assert len(seq) == 2 * n_2
+
+
+def test_table_exponent_sequence_needs_a_builtin_row():
+    # a two-part with no table row is a domain error that names the rows,
+    # in the words of verify_table_entry
+    for n_2 in (3, 64, 0, -1):
+        with pytest.raises(BadInput, match=r"no built-in table row .* 2, 4, 8, 16, 32"):
+            table_exponent_sequence(n_2)
 
 
 def test_table_exponents_verify_by_exponentiation():

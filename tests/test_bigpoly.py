@@ -443,8 +443,10 @@ def test_find_big_primitive_degree_one():
                      if len({pow(-c % p, k, p) for k in range(1, p)}) == p - 1)
         assert brute == c
         assert find_big_primitive(1, p) == PrimePoly(p, (c, 1))
+    # constants with -c no generator are skipped and do not count
+    assert str(find_big_primitive(1, 7, budget=1)) == "t+2"
     with pytest.raises(NotFound):
-        find_big_primitive(1, 7, budget=1)
+        find_big_primitive(1, 7, budget=0)
 
 
 def test_find_big_primitive_budget():

@@ -584,9 +584,8 @@ def test_polynomial_layer_imports_no_field_layer():
         assert not imported & upper, (name, sorted(imported & upper))
 
 
-def test_field_layer_builds_no_reducer_of_its_own():
-    # fields takes its tables of a modulus from the polys builders and
-    # reaches residues mod a polynomial only through polys._reducer
+def fields_tree_and_names():
+    """The AST of fields.py and every name it imports, reads or looks up."""
     src = Path(__file__).resolve().parents[1] / "src" / "as90"
     tree = ast.parse((src / "fields.py").read_text())
     names = set()
@@ -597,8 +596,33 @@ def test_field_layer_builds_no_reducer_of_its_own():
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+    return tree, names
+
+
+def test_field_layer_builds_no_reducer_of_its_own():
+    # fields takes its tables of a modulus from the polys builders and
+    # reaches residues mod a polynomial only through polys._reducer
+    _, names = fields_tree_and_names()
     assert "_Reducer" not in names
     assert {"_fold_columns", "_frobenius_columns", "_t_conjugates"} <= names
+
+
+def test_field_layer_applies_columns_only_through_the_map():
+    # polys._Map owns the packed columns: fields composes no matrix and
+    # combines no columns of its own, and its only sum(map(...)) dot
+    # products are the trace's power sums and the X-fold of _mod_g
+    tree, names = fields_tree_and_names()
+    assert "_Map" in names and not names & {"_mat_mul", "combine"}
+    dots = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and isinstance(node.args[0].func, ast.Name)
+                    and node.args[0].func.id == "map"):
+                dots.add(top.name)
+    assert dots == {"trace", "_mod_g"}
 
 
 def test_reference_exponents_checked_under_optimize():

@@ -40,7 +40,7 @@ from as90.fields import (
 )
 from as90.intfactor import p_part
 from as90.periodicity import partial_trace_terms
-from as90.polys import PrimePoly, _count_vectors, is_irreducible, is_prime
+from as90.polys import PrimePoly, _Map, _count_vectors, is_irreducible, is_prime
 
 
 F4 = make_ctx(2, 2)          # modulus t^2+t+1, the only choice
@@ -247,22 +247,21 @@ def test_trace_linear_and_transitive():
             assert stepped.coeffs[0] == trace(a, 1).coeffs[0]
 
 
-def dense(ctx, cols):
-    """Rows of the matrix with the given packed columns."""
-    kern = fields._kernel(ctx)
-    return [list(row) for row in zip(*(kern.unpack(c, ctx.n) for c in cols))]
+def dense(m):
+    """Rows of the matrix of a linear map."""
+    return [list(row) for row in m.rows()]
 
 
 def packed(ctx, rows):
-    """Packed columns of a dense matrix."""
-    return [fields._kernel(ctx).pack(col) for col in zip(*rows)]
+    """The linear map of a dense n x n matrix over the field's prime."""
+    return _Map(ctx.p, ctx.n, list(zip(*rows)))
 
 
 @lru_cache(maxsize=None)
 def naive_trace_matrix(ctx, d):
     """sum_{k < n/d} F^k for F = x -> x^(p^d), one product per term;
     kept per context, as the n = 64 matrix takes about a second."""
-    n, p, frob = ctx.n, ctx.p, dense(ctx, fields._frob_cols(ctx, d))
+    n, p, frob = ctx.n, ctx.p, dense(fields._frob_cols(ctx, d))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     total = [row[:] for row in power]
     for _ in range(n // d - 1):
@@ -992,13 +991,15 @@ def test_kernel_slot_widths():
     for (p, n), width in KERNEL_FIELDS.items():
         assert fields._packer(p, n)[0] == width, (p, n)
         assert n * (p - 1) ** 2 < 256**width
-    # a trace step adds one packed element to a matrix-vector product, so
-    # a kernel slot (the value of a 1 packed in slot 1) must hold
+    # a kernel slot (the value of a 1 packed in slot 1) holds the n
+    # products of a field product; a trace step adds one packed element to
+    # a matrix-vector product, so a slot of a Frobenius map must hold
     # n (p-1)^2 + p - 1; one byte is short by one at p = 2, n = 255
     wide = fields.FieldCtx(2, 255, PrimePoly.x(2, 255) + PrimePoly(2, (1, 1)))
     for ctx in [make_ctx(*pn) for pn in KERNEL_FIELDS] + [wide]:
         p, n = ctx.p, ctx.n
-        assert n * (p - 1) ** 2 + p - 1 < fields._kernel(ctx).pack((0, 1)), (p, n)
+        assert n * (p - 1) ** 2 < fields._kernel(ctx).pack((0, 1)), (p, n)
+        assert n * (p - 1) ** 2 + p - 1 < fields._frob_cols(ctx, 1).pack((0, 1)), (p, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1022,7 +1023,7 @@ def test_kernel_frobenius_and_trace_match_schoolbook(pn, data):
     ctx = make_ctx(*pn)
     a = draw_elem(data, ctx)
     k = data.draw(st.integers(-2, 3))
-    frob = dense(ctx, fields._frob_cols(ctx, k))
+    frob = dense(fields._frob_cols(ctx, k))
     assert frobenius(a, k).coeffs == schoolbook_mat_vec(frob, a.coeffs, ctx.p)
     tr = naive_trace_matrix(ctx, 1)
     assert trace(a).coeffs == schoolbook_mat_vec(tr, a.coeffs, ctx.p)
@@ -1039,14 +1040,13 @@ def test_kernel_extreme_coefficients(pn):
     assert (top - ctx.one()).coeffs == reference_elem(ctx, ptop - PrimePoly.one(p))
     assert (-top).coeffs == reference_elem(ctx, -ptop)
     for j in (1, 2):
-        frob = dense(ctx, fields._frob_cols(ctx, j))
+        frob = dense(fields._frob_cols(ctx, j))
         assert frobenius(top, j).coeffs == schoolbook_mat_vec(frob, top.coeffs, p)
     for d in (d for d in (1, 2) if ctx.n % d == 0):
         tr = naive_trace_matrix(ctx, d)
         assert trace(top, d).coeffs == schoolbook_mat_vec(tr, top.coeffs, p)
     full = packed(ctx, [[p - 1] * ctx.n for _ in range(ctx.n)])
-    square = fields._mat_mul(full, full, fields._kernel(ctx))
-    assert dense(ctx, square) == schoolbook_mat_mul(dense(ctx, full), dense(ctx, full), p)
+    assert dense(full @ full) == schoolbook_mat_mul(dense(full), dense(full), p)
 
 
 @pytest.mark.parametrize("pn", sorted(KERNEL_FIELDS))
@@ -1060,16 +1060,15 @@ def test_kernel_frobenius_matrices_match_primepoly(pn):
     reference = [PrimePoly.x(p, i) % g for i in range(n)]
     for j in range(n):
         columns = [reference_elem(ctx, c) for c in reference]
-        assert dense(ctx, fields._frob_cols(ctx, j)) == [list(r) for r in zip(*columns)], j
+        assert dense(fields._frob_cols(ctx, j)) == [list(r) for r in zip(*columns)], j
         reference = [c.pow_mod(p, g) for c in reference]
-    frob = dense(ctx, fields._frob_cols(ctx, 1))
+    frob = dense(fields._frob_cols(ctx, 1))
     if n > 1:
-        assert dense(ctx, fields._frob_cols(ctx, 2)) == schoolbook_mat_mul(frob, frob, p)
+        assert dense(fields._frob_cols(ctx, 2)) == schoolbook_mat_mul(frob, frob, p)
     rng = Random(pn[0] * 1000 + n)
     a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
     b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-    product = fields._mat_mul(packed(ctx, a), packed(ctx, b), fields._kernel(ctx))
-    assert dense(ctx, product) == schoolbook_mat_mul(a, b, p)
+    assert dense(packed(ctx, a) @ packed(ctx, b)) == schoolbook_mat_mul(a, b, p)
 
 
 def test_frobenius_powers_from_cached_products():
@@ -1079,7 +1078,7 @@ def test_frobenius_powers_from_cached_products():
     ctx = fields.FieldCtx(3, 40, modulus)
     for j in (1, 2, 4, 8, 16, 32, 3, 39, 0, 5):
         cols = fields._frob_cols(ctx, j)
-        assert cols == fields._frob_cols(fields.FieldCtx(3, 40, modulus), j), j
+        assert cols.cols == fields._frob_cols(fields.FieldCtx(3, 40, modulus), j).cols, j
     assert sorted(ctx._cache["frob"]) == [0, 1, 2, 3, 4, 5, 8, 16, 32, 39]
 
 
@@ -1122,10 +1121,10 @@ def test_kernel_tables_on_a_dense_modulus(pn):
     ctx = fields.FieldCtx(p, n, g)
     kern = fields._kernel(ctx)
     want = [reference_elem(ctx, PrimePoly.x(p, n + k)) for k in range(n - 1)]
-    assert [tuple(kern.unpack(c, n)) for c in kern.red] == want
+    assert [tuple(kern.red.unpack(c, n)) for c in kern.red.cols] == want
     for j in (3, 1, 2, n - 1):  # 3 first, so it is built on its own
         want = [reference_elem(ctx, PrimePoly.x(p).pow_mod(i * p**j, g)) for i in range(n)]
-        assert dense(ctx, fields._frob_cols(ctx, j)) == [list(r) for r in zip(*want)], j
+        assert dense(fields._frob_cols(ctx, j)) == [list(r) for r in zip(*want)], j
 
 
 def reference_artin_schreier_rows(ctx, d):

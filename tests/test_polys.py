@@ -14,6 +14,7 @@ from as90.errors import DivisionByZero, FactorizationTooHard, NotPrime, OrderToo
 from as90.polys import (
     PrimePoly,
     _F2Reducer,
+    _Map,
     _Reducer,
     _f2_mul,
     _fold_columns,
@@ -1066,14 +1067,54 @@ def test_fold_columns_match_division(p, n):
 @pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**32 - 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
 def test_frobenius_columns_match_powering(p, n):
-    # column i of power j is t^(i p^j) mod f, on the reducer's own packing
+    # column i of power j is t^(i p^j) mod f, on the reducer's products
     for f in builder_moduli(p, n):
         red = _Reducer(f)
         for j in sorted({0, 1, 2, n - 1}):
             x = red.lift(PrimePoly.x(p).pow_mod(p**j, f))
-            cols = _frobenius_columns(x, n, red.mul, red.pack)
-            assert [tuple(red.unpack(c, n)) for c in cols] == [
+            frob = _frobenius_columns(p, x, n, red.mul)
+            assert [tuple(frob.unpack(c, n)) for c in frob.cols] == [
                 padded(PrimePoly.x(p).pow_mod(i * p**j, f), n) for i in range(n)], (f, j)
+
+
+def schoolbook_apply(cols, v, p, n):
+    """sum_c v_c cols_c mod p, entry by entry."""
+    return tuple(sum(c[r] * x for c, x in zip(cols, v)) % p for r in range(n))
+
+
+def map_cases():
+    """(p, n, k): n entries a column, k columns; 255 and 256 columns over
+    F_2 need two-byte slots, since v plus w sums k + 1 ones."""
+    for p in (2, 3, 5, 65521, 2**32 - 5, 2**64 - 59):
+        for n in (1, 4, 9):
+            for k in sorted({1, 2, n}):
+                yield p, n, k
+    for k in (254, 255, 256):
+        yield 2, 3, k
+
+
+@pytest.mark.parametrize("p, n, k", list(map_cases()))
+def test_map_matches_schoolbook(p, n, k):
+    # every entry p - 1 makes each slot sum as large as it can be
+    rng = Random(f"map/{p}/{n}/{k}")
+
+    def vec(length):
+        return tuple(rng.randrange(p) for _ in range(length))
+
+    for cols in ([(p - 1,) * n] * k, [vec(n) for _ in range(k)]):
+        m = _Map(p, n, cols)
+        assert m.rows() == list(zip(*cols))
+        for v in ((p - 1,) * k, vec(k)):
+            want = schoolbook_apply(cols, v, p, n)
+            assert m.apply(v) == want and type(m.apply(v)) is tuple
+            for w in ((p - 1,) * n, vec(n)):
+                assert m.apply_add(v, w) == tuple((a + b) % p for a, b in zip(want, w))
+        for inner in ([(p - 1,) * k] * k, [vec(k) for _ in range(k)]):
+            composed = m @ _Map(p, k, inner)
+            assert composed.n == n and len(composed.cols) == k
+            assert composed.rows() == list(zip(*(schoolbook_apply(cols, c, p, n) for c in inner)))
+    # the fold map of a field of degree 1 has no column
+    assert _Map(p, n, []).apply_add((), (p - 1,) * n) == (p - 1,) * n
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 3), (2, 8), (2, 16), (2, 32), (3, 1), (3, 5),
