@@ -247,11 +247,11 @@ def _order_of_t_is(f: PrimePoly, target: int, factors: dict[int, int],
     ``divides`` the caller knows that t^target = 1 already (f irreducible
     of degree e with f(0) != 0 and target = p^e - 1, by Lagrange), and
     only the maximal proper divisors are tried."""
-    red, one = _reducer(f), PrimePoly._of(f.p, (1,))
-    t = red.lift(PrimePoly._of(f.p, (0, 1)))
-    if not divides and red.poly(red.pow(t, target)) != one:
+    red = _reducer(f)
+    t = red.lift(_poly(f.p, (0, 1)))
+    if not divides and not red.is_one(red.pow(t, target)):
         return False
-    return all(red.poly(red.pow(t, target // ell)) != one for ell in factors)
+    return not any(red.is_one(red.pow(t, target // ell)) for ell in factors)
 
 
 def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
@@ -285,7 +285,7 @@ def find_big_primitive(e: int, p: int = 2, budget: int = 1 << 16) -> PrimePoly:
                 raise NotFound(
                     f"budget of {budget} candidates exhausted for degree {e} over F_{p}"
                 )
-            f = PrimePoly._of(p, (c0, *tail, 1))
+            f = _poly(p, (c0, *tail, 1))
             if is_irreducible(f) and _order_of_t_is(f, group, factors, divides=True):
                 return f
     raise NotFound(f"no big primitive of degree {e} over F_{p}")

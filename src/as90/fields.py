@@ -20,7 +20,9 @@ each context caches those it uses, its only n x n tables, so after the
 first call one costs a matrix-vector product.  Traces are built from them
 and from the power sums of the modulus's roots.  These maps, the fold
 columns and the conjugates X^(p^j) mod g of a subfield's modulus g each
-come from one builder in ``polys``.
+come from one builder in ``polys``.  The doubling walk ``_walk`` behind
+orbit sums, traces onto subfields, powers and ``hilbert90``'s R(y, z)
+joins on coefficient tuples, so a walk builds one FieldElem, its result.
 
 A subfield GF(p^d) embeds by a root of its modulus g, read off an
 idempotent of ctx[X]/g; that ring packs on the same packer, d blocks of
@@ -334,7 +336,10 @@ class FieldElem:
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
             return self.inv() ** (-e)
-        return _walk(e, 0, self, lambda a, b, _: a * b) if e else self.ctx.one()
+        if not e:
+            return self.ctx.one()
+        mul = _kernel(self.ctx).mul
+        return FieldElem(self.ctx, _walk(e, 0, self.coeffs, lambda a, b, _: mul(a, b)))
 
     # -- structure ----------------------------------------------------------
 

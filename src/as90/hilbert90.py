@@ -28,6 +28,8 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElem,
+    _frob_cols,
+    _kernel,
     _walk,
     degree_over_subfield,
     frobenius,
@@ -180,19 +182,26 @@ def _r_raw(a: FieldElem, b: FieldElem, k: int = 1) -> FieldElem:
 
     Evaluated by the doubling walk ``fields._walk``.  A block of length
     L is (A, X, Y) = (sum_{i<L} x_i sigma^{ik}(a), x_L,
-    sum_{i<L} sigma^{ik}(a)), and R(a, b) is the A of the block of
-    length m.  Each join shifts by one sigma^{k 2^i}, so a call costs
-    O(log m) cached Frobenius powers instead of 2m Frobenius steps.
+    sum_{i<L} sigma^{ik}(a)), three coefficient tuples, and R(a, b) is
+    the A of the block of length m.  Block ``first`` followed by block
+    ``second``, where F = sigma^shift shifts by len(first), is
+    (F(A2) + A1 + X1 F(Y2), F(X2) + X1, Y1 + F(Y2)): three applications
+    of the cached map F and one kernel product.  So a call costs
+    O(log m) cached Frobenius powers instead of 2m Frobenius steps, and
+    builds one FieldElem, the answer.
     """
-    return _walk(a.ctx.m, k, (a.ctx.zero(), b, a), _join)[0]
+    ctx = a.ctx
+    kern = _kernel(ctx)
 
+    def join(first, second, shift):
+        a1, x1, y1 = first
+        a2, x2, y2 = second
+        frob = _frob_cols(ctx, ctx.f * shift)
+        y2 = frob.apply(y2)
+        return (frob.apply_add(a2, kern.add(a1, kern.mul(x1, y2))), frob.apply_add(x2, x1),
+                kern.add(y1, y2))
 
-def _join(first, second, step):
-    """Block ``first`` of length L followed by block ``second``, where
-    sigma^step shifts by L: the partial sums of ``second`` start at x_L."""
-    a1, x1, y1 = first
-    a2, x2, y2 = (frobenius(v, step) for v in second)
-    return a1 + x1 * y2 + a2, x1 + x2, y1 + y2
+    return FieldElem(ctx, _walk(ctx.m, k, ((0,) * ctx.n, b.coeffs, a.coeffs), join)[0])
 
 
 def r_form(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:

@@ -23,7 +23,8 @@ w bytes wide, and w is chosen so that no slot can carry into the next:
   k slots, which clears that slot mod p.  A slot starts below p and takes
   at most min(dq, db) + 1 such terms, each at most (p-1)^2, so it must
   hold p - 1 + (min(dq, db) + 1) (p-1)^2.  The low db slots, reduced
-  mod p, are then the remainder.
+  mod p, are then the remainder.  ``gcd`` passes only these remainders,
+  as tuples, from one Euclid step to the next.
 * a sum a + k b, k in range(p), is one packed sum.  A slot holds at most
   p - 1 + (p-1)^2, which fits any slot wide enough for one product.
 
@@ -240,8 +241,9 @@ class _Reducer:
     ``square``, ``pow``, ``add`` and ``minus_t`` (h - t, for n >= 2) stay
     on residues, ``reduce`` takes a residue mod a multiple of f to one mod
     f, ``frobenius`` is the map h -> h^p, ``gcd`` is the monic gcd of f
-    and a residue, ``halves`` gives the reducers mod that gcd and its
-    cofactor, ``modulus`` gives f back, and ``random`` draws a residue.
+    and a residue, ``coprime`` tests whether that gcd is 1 and ``is_one``
+    whether a residue is 1, ``halves`` gives the reducers mod that gcd and
+    its cofactor, ``modulus`` gives f back, and ``random`` draws a residue.
 
     A product of residues has degree at most 2n - 2.  Its quotient by f
     comes from ``inv``, the packed G = rev(f)^-1 mod t^(n-1), which Newton
@@ -284,6 +286,12 @@ class _Reducer:
     def gcd(self, a) -> "PrimePoly":
         """The monic gcd of f and the residue a."""
         return gcd(self.mod, self.poly(a))
+
+    def coprime(self, a) -> bool:
+        return self.gcd(a).degree == 0
+
+    def is_one(self, a) -> bool:
+        return _trimmed(a) == (1,)
 
     def random(self, rng: Random) -> list:
         """A residue drawn uniformly by rng."""
@@ -552,6 +560,12 @@ class _F2Reducer:
     def gcd(self, a: int) -> "PrimePoly":
         return self.poly(_f2_gcd(self.f, a))
 
+    def coprime(self, a: int) -> bool:
+        return _f2_gcd(self.f, a) == 1
+
+    def is_one(self, a: int) -> bool:
+        return a == 1
+
     def random(self, rng: Random) -> int:
         return rng.getrandbits(self.n)
 
@@ -797,27 +811,13 @@ class PrimePoly:
         a, b, p = self.coeffs, other.coeffs, self.p
         if not b:
             raise DivisionByZero("polynomial division by zero")
-        db, dq = len(b) - 1, len(a) - len(b)
-        if dq < 0:
+        if len(a) < len(b):
             return _poly(p, ()), self
         if p == 2:
             q, r = _f2_divmod(_bits(a), _bits(b))
             return _poly(2, _unbits(q)), _poly(2, _unbits(r))
-        # packed long division (see the module docstring): a slot holds at
-        # most p - 1 + (min(dq, db) + 1) (p-1)^2 <= (min(dq, db) + 2) (p-1)^2
-        w, pack, unpack = _packer(p, min(dq, db) + 2)
-        bits = 8 * w
-        mask = (1 << bits) - 1
-        inv_lead = pow(b[-1], -1, p)
-        rem, div = pack(a), pack(b)
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = (rem >> (k + db) * bits & mask) * inv_lead % p
-            if c:
-                quo[k] = c
-                rem += (p - c) * div << k * bits
-        low = unpack(rem & (1 << db * bits) - 1, db)
-        return _poly(p, tuple(quo)), _poly(p, _trimmed(low))
+        quo, rem = _long_division(a, b, p)
+        return _poly(p, tuple(quo)), _poly(p, rem)
 
     def __floordiv__(self, other: "PrimePoly") -> "PrimePoly":
         return divmod(self, other)[0]
@@ -865,14 +865,40 @@ def _poly(p: int, coeffs: tuple) -> PrimePoly:
     return f
 
 
+def _long_division(a: tuple, b: tuple, p: int):
+    """The quotient, a list, and the remainder, a trimmed tuple, of the
+    coefficient tuples a by b over odd p, for len(a) >= len(b) and b
+    without trailing zeros: packed long division (see the module
+    docstring), whose slots hold p - 1 + (min(dq, db) + 1) (p-1)^2 <=
+    (min(dq, db) + 2) (p-1)^2."""
+    db, dq = len(b) - 1, len(a) - len(b)
+    w, pack, unpack = _packer(p, min(dq, db) + 2)
+    bits = 8 * w
+    mask = (1 << bits) - 1
+    inv_lead = pow(b[-1], -1, p)
+    rem, div = pack(a), pack(b)
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = (rem >> (k + db) * bits & mask) * inv_lead % p
+        if c:
+            quo[k] = c
+            rem += (p - c) * div << k * bits
+    return quo, _trimmed(unpack(rem & (1 << db * bits) - 1, db))
+
+
 def gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
-    """Monic greatest common divisor.  Over F_2 the remainder sequence
-    runs on the bits of ints, converted only at each end."""
+    """Monic greatest common divisor.  The remainder sequence runs on the
+    bits of ints over F_2 and on the coefficient tuples of
+    ``_long_division`` otherwise, converted only at each end."""
     if a.p == b.p == 2:
         return _poly(2, _unbits(_f2_gcd(_bits(a.coeffs), _bits(b.coeffs))))
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    if b:
+        a._check(b)
+    p, a, b = a.p, a.coeffs, b.coeffs
+    while b:
+        a, b = b, _long_division(a, b, p)[1] if len(a) >= len(b) else a
+    g = _poly(p, a)
+    return g.monic() if a else g
 
 
 def xgcd(a: PrimePoly, b: PrimePoly):
@@ -914,7 +940,7 @@ def is_irreducible(f: PrimePoly) -> bool:
             h = frob(h)
             block.append(red.minus_t(h))
         d += len(block)
-        if red.gcd(reduce(red.mul, block)).degree:
+        if not red.coprime(reduce(red.mul, block)):
             return False
     return True
 

@@ -158,6 +158,32 @@ def test_pow_negative():
     assert a ** 0 == 1
 
 
+#: (p, n, f, modulus) of the warm-roots fields
+WARM_FIELDS = [(2, 8, 1, None), (2, 64, 1, None), (3, 40, 1, None), (5, 27, 1, None),
+               (65521, 4, 1, None), (2**32 - 5, 2, 1, None), (7, 14, 1, None),
+               (3, 12, 2, None), (2, 32, 1, "t^32+t^31+t^3+t+1")]
+
+
+@pytest.mark.parametrize("p, n, f, modulus", WARM_FIELDS)
+def test_pow_matches_repeated_multiplication(p, n, f, modulus):
+    # the walk's product join against products one factor at a time for
+    # small e, and against PrimePoly powering mod the modulus for all e
+    ctx = make_ctx(p, n, modulus=modulus, f=f)
+    rng = Random(p * n)
+    for a in [ctx.gen(), ctx.one(), ctx.zero()] + rand_elems(ctx, 3, seed=n):
+        exponents = [0, 1, 2, p, ctx.q ** ctx.m - 1, rng.randrange(2**80)]
+        for e in exponents:
+            want = ctx.elem(a.to_poly().pow_mod(e, ctx.modulus))
+            assert a ** e == want, (a, e)
+            if e <= 16:
+                product = ctx.one()
+                for _ in range(e):
+                    product = product * a
+                assert a ** e == product, (a, e)
+        if not a.is_zero():
+            assert a ** (ctx.q ** ctx.m - 1) == 1
+
+
 def test_elements_lex():
     elems = list(F4.elements_lex())
     assert len(elems) == 4

@@ -136,17 +136,27 @@ def r_by_steps(a, b, k):
     return acc
 
 
+#: (p, f, m) of the warm-roots fields, whose kernels pack on slots of 1 to
+#: 9 bytes, with m up to 64; GF(2^32) on its table-row modulus
+WARM_SHAPES = [(2, 1, 8), (65521, 1, 4), (65521, 2, 2), (2**32 - 5, 1, 2), (2, 1, 64),
+               (3, 1, 40), (5, 1, 27), (7, 1, 14), (3, 2, 6), (2, 1, 32)]
+R_RAW_MODULI = {(2, 1, 32): "t^32+t^31+t^3+t+1"}
 R_RAW_CASES = [
     (p, f, m) for p in (2, 3, 5, 7) for f in (1, 2, 3) for m in (1, 2, 3, 4, 5, 8, 9, 16)
     if p ** (f * m) <= fields.SCALE_LIMIT
 ]
+R_RAW_CASES += [shape for shape in WARM_SHAPES if shape not in R_RAW_CASES]
+
+
+def warm_ctx(p, f, m):
+    return make_ctx(p, f * m, modulus=R_RAW_MODULI.get((p, f, m)), f=f)
 
 
 @pytest.mark.parametrize("p, f, m", R_RAW_CASES)
 def test_r_raw_matches_step_loop(p, f, m):
     # every generator sigma^k of the group, on random (a, b) and on
     # trace-zero a with a trace-one witness b
-    ctx = make_ctx(p, f * m, f=f)
+    ctx = warm_ctx(p, f, m)
     rng = Random(p * 10000 + f * 100 + m)
     z = find_trace_one(ctx).z
     for k in [k for k in range(1, m + 1) if math.gcd(k, m) == 1] + [-1]:
@@ -155,6 +165,30 @@ def test_r_raw_matches_step_loop(p, f, m):
         pairs.append((frobenius(w, k) - w, z))
         for a, b in pairs:
             assert _r_raw(a, b, k) == r_by_steps(a, b, k), (k, a, b)
+
+
+def test_r_raw_builds_as_many_elements_at_m_64_as_at_m_8(monkeypatch):
+    # the doubling walk joins on coefficient tuples, so the FieldElem
+    # objects one warm call builds do not grow with log m
+    init, built = fields.FieldElem.__init__, []
+
+    def counting_init(self, ctx, coeffs):
+        built.append(coeffs)
+        init(self, ctx, coeffs)
+
+    counts = {}
+    for n in (8, 64):
+        ctx = make_ctx(2, n)
+        y, z = trace_zero_sample(ctx, Random(n)), find_trace_one(ctx).z
+        expected = _r_raw(y, z)  # fills the context's Frobenius powers
+        assert expected == r_by_steps(y, z, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(fields.FieldElem, "__init__", counting_init)
+            built.clear()
+            x = _r_raw(y, z)
+            counts[n] = len(built)
+        assert x == expected
+    assert counts[8] == counts[64], counts
 
 
 # -- find_trace_one ---------------------------------------------------------
@@ -344,6 +378,17 @@ def test_symmetry_defect_zero_random():
         z = find_trace_one(ctx, target_e=4, randomize=True,
                            seed=rng.randrange(2**30)).z
         assert r_symmetry_defect(y, z).is_zero()
+
+
+@pytest.mark.parametrize("p, f, m", WARM_SHAPES)
+def test_symmetry_defect_zero_on_warm_shapes(p, f, m):
+    ctx = warm_ctx(p, f, m)
+    rng = Random(p + f + m)
+    z = find_trace_one(ctx).z
+    for _ in range(3):
+        y = trace_zero_sample(ctx, rng)
+        assert r_symmetry_defect(y, z).is_zero()
+        assert r_form(y, z).checked
 
 
 def test_symmetry_defect_checks_both_cocycles():

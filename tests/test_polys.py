@@ -938,10 +938,15 @@ def test_reducer_interface_matches_prime_poly(case, e):
     assert red.poly(red.square(x)) == pa * pa % f
     assert red.poly(red.add(x, y)) == (pa + pb) % f
     assert red.gcd(x) == gcd(f, pa % f)
+    assert red.coprime(x) == (gcd(f, pa % f).degree == 0)
+    one = PrimePoly.one(p)
+    assert red.is_one(red.mul(x, y)) == (pa * pb % f == one)
+    assert red.is_one(red.lift(one)) and not red.is_one(red.lift(PrimePoly.zero(p)))
     if f.degree >= 2:
         assert red.poly(red.minus_t(x)) == pa % f - PrimePoly.x(p)
     if f.degree <= 24:
         assert red.poly(red.pow(x, e)) == pa.pow_mod(e, f) == ref_pow(pa, e, f)
+        assert red.is_one(red.pow(x, e)) == (pa.pow_mod(e, f) == one)
     t = red.lift(PrimePoly.x(p))
     if f.degree <= 24:
         assert red.poly(red.pow(t, e)) == ref_pow(PrimePoly.x(p), e, f)
