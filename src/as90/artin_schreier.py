@@ -16,12 +16,14 @@ where a closed form is available:
 * characteristic 2: precomputed reference witnesses keyed by the
   2-part of the degree.
 
-A constructor is only its preconditions and its witness: z depends on
-the field, not on y, so it is built once per field context, and each
-later call costs a trace check and one R(y, z), which re-verifies its
-output.  A constructor whose preconditions fail raises NotApplicable,
-and the dispatcher tries the next one.  An exhaustive search is kept
-around as an independent oracle at small sizes.
+A constructor is only its preconditions and its witness: it hands over
+the paper's zeta, which ``hilbert90._trace_one`` embeds into E and
+divides by its trace to give z.  z depends on the field, not on y, so
+it is built once per field context, and each later call costs a trace
+check and one R(y, z), which re-verifies its output.  A constructor
+whose preconditions fail raises NotApplicable, and the dispatcher tries
+the next one.  An exhaustive search is kept as an independent oracle at
+small sizes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     FieldTooLarge,
     NoRoot,
     NotApplicable,
-    TraceNotOne,
     UnsupportedTwoPart,
     WrongCongruence,
     WrongNpCase,
@@ -54,7 +55,7 @@ from .fields import (
     subfield_embed,
     trace,
 )
-from .hilbert90 import TraceOneWitness, _certified, find_trace_one, r_form
+from .hilbert90 import TraceOneWitness, _certified, _trace_one, find_trace_one, r_form
 from .intfactor import p_part
 from .periodicity import partial_sum_period, partial_trace_terms
 from .polys import PrimePoly, _count_vectors
@@ -177,14 +178,14 @@ _WITNESSES: dict = {}
 
 
 def _constructor(method: str):
-    """Make ``witness(ctx, ...) -> (z, notes)`` the root constructor
+    """Make ``witness(ctx, ...) -> (zeta, notes)`` the root constructor
     ``name(inst, ...)`` of the same name and docstring.
 
     ``witness`` raises a NotApplicable error when the field fails its
-    preconditions and otherwise returns a trace-one z and the notes to
-    report with it.  Both depend on the field alone, so ``_witness``
-    builds them once per context; each call then only checks the trace
-    criterion and evaluates R(y, z).
+    preconditions and otherwise returns zeta, which ``_trace_one`` scales
+    to the witness z, and the notes to report with it.  Both depend on
+    the field alone, so ``_witness`` builds them once per context; each
+    call then only checks the trace criterion and evaluates R(y, z).
     """
     def wrap(witness):
         _WITNESSES[method] = witness
@@ -205,7 +206,7 @@ def _constructor(method: str):
 def _witness(ctx: FieldCtx, method: str, *args, **kwargs):
     """The (z, notes) of a constructor for ctx, kept in
     ``ctx._cache["witness"]`` under the method and the further arguments
-    (r for prime_r).  The trace of z is checked once, when it is built.
+    (r for prime_r); z is the constructor's zeta after ``_trace_one``.
     When the preconditions fail, the NotApplicable error the build raised
     is kept and returned in its place, so they are evaluated once."""
     built = ctx._cache.setdefault("witness", {})
@@ -213,13 +214,11 @@ def _witness(ctx: FieldCtx, method: str, *args, **kwargs):
     got = built.get(key)
     if got is None:
         try:
-            z, notes = _WITNESSES[method](ctx, *args, **kwargs)
+            zeta, notes = _WITNESSES[method](ctx, *args, **kwargs)
         except NotApplicable as exc:
             got = built[key] = exc.with_traceback(None)
         else:
-            if trace(z, ctx.f) != 1:
-                raise TraceNotOne(f"the {method} witness {z} does not have trace 1")
-            got = built[key] = (z, notes)
+            got = built[key] = (_trace_one(zeta, ctx), notes)
     return got
 
 
@@ -287,17 +286,15 @@ def find_zeta(p: int) -> FieldElem:
 
 @_constructor("np_p")
 def root_np_p(ctx: FieldCtx):
-    """p exactly divides n (and q = p): z = (n/p)^{-1} zeta with zeta
-    the canonical trace-one element of GF(p^p)."""
+    """p exactly divides n (and q = p): zeta is the canonical trace-one
+    element of GF(p^p), whose trace in E is n/p, so z = (n/p)^{-1} zeta."""
     if ctx.f != 1:
         raise WrongNpCase("this constructor works over the prime subfield (f = 1)")
     if p_part(ctx.n, ctx.p) != ctx.p:
         raise WrongNpCase(
             f"p-part of {ctx.n} is {p_part(ctx.n, ctx.p)}, need exactly {ctx.p}"
         )
-    zeta = subfield_embed(find_zeta(ctx.p), ctx)
-    scalar = pow((ctx.n // ctx.p) % ctx.p, -1, ctx.p)
-    return zeta * scalar, {"zeta_degree": ctx.p}
+    return find_zeta(ctx.p), {"zeta_degree": ctx.p}
 
 
 @_constructor("prime_r")
@@ -307,7 +304,8 @@ def root_via_prime_r(ctx: FieldCtx, r: int):
     Let e = ord_r(p).  Requires e | n and p coprime to n/e.  A root zeta
     of a big irreducible factor of the r-th cyclotomic polynomial has
     degree e and nonzero trace tau, and z = (n tau / e)^{-1} zeta is a
-    trace-one witness whose partial sums repeat with period e*p.
+    trace-one witness whose partial sums, like zeta's in GF(p^e), repeat
+    with period e*p.
     """
     p, n = ctx.p, ctx.n
     if ctx.f != 1:
@@ -331,11 +329,9 @@ def root_via_prime_r(ctx: FieldCtx, r: int):
         raise RuntimeError(f"the root of {g} has trace {tau_elem}, not a nonzero scalar")
     if e % p_part(n, p) != 0:
         raise RuntimeError(f"the p-part of n = {n} does not divide the witness degree {e}")
-    scalar = pow((n // e) * tau % p, -1, p)
-    z = subfield_embed(zeta, ctx) * scalar
-    if partial_sum_period(z) != e * p:
+    if partial_sum_period(zeta) != e * p:
         raise RuntimeError(f"the partial sums of the witness do not have period {e * p}")
-    return z, {"r": r, "e": e, "tau": tau, "zeta_min_poly": str(g)}
+    return zeta, {"r": r, "e": e, "tau": tau, "zeta_min_poly": str(g)}
 
 
 @_constructor("p2mod3")
@@ -346,8 +342,8 @@ def root_p2mod3(ctx: FieldCtx):
     x = (n/2)^{-1} sum_i (floor(i/2) - r_i w) y^{p^i} with r_i = i mod 2
     and w the least primitive cube root of unity by coefficient tuple.
     As p = 2 mod 3, w lies outside F_p and sigma(w) = w^2 = -1 - w, so
-    with s = (n/2)^{-1} the partial sums of z = -s w are exactly the
-    coefficients s (floor(i/2) - r_i w), and trace(z) = (n/2) s = 1:
+    zeta = w has trace -(n/2) in E, and with s = (n/2)^{-1} the partial
+    sums of z = -s w are exactly the coefficients s (floor(i/2) - r_i w):
     x is R(y, z), in the sign the source material states.
     """
     p, n = ctx.p, ctx.n
@@ -360,8 +356,7 @@ def root_p2mod3(ctx: FieldCtx):
     if (n // 2) % p == 0:
         raise WrongCongruence(f"needs n/2 = {n // 2} coprime to p = {p}")
     omega = subfield_embed(make_ctx(p, 2, modulus=PrimePoly(p, (1, 1, 1))).gen(), ctx)
-    z = -omega * pow((n // 2) % p, -1, p)
-    return z, {"sign_variant": "statement", "omega": str(omega)}
+    return omega, {"sign_variant": "statement", "omega": str(omega)}
 
 
 @lru_cache(maxsize=None)
@@ -408,9 +403,9 @@ def _check_reference_exponents(n_2: int) -> None:
 def root_char2_table(ctx: FieldCtx):
     """Characteristic 2 over the prime subfield: reference witnesses.
 
-    The 2-part of n selects a precomputed z (a big primitive root with
-    trace 1); embedding it into E keeps trace 1 because n divided by its
-    2-part is odd.  For the two-parts in KNOWN_EXPONENTS, the reference
+    The 2-part of n selects a precomputed zeta = z (a big primitive root
+    with trace 1); embedded into E it keeps trace 1 because n divided by
+    its 2-part is odd.  For the two-parts in KNOWN_EXPONENTS, the reference
     partial sums are checked once per process by raising z to each
     exponent, before z is used.
     """
@@ -426,8 +421,7 @@ def root_char2_table(ctx: FieldCtx):
         )
     if n_2 in KNOWN_EXPONENTS:
         _check_reference_exponents(n_2)
-    z = subfield_embed(_table_ctx(n_2).gen(), ctx)
-    return z, {"n_2": n_2, "z_min_poly": str(TABLE_ROWS[n_2][1])}
+    return _table_ctx(n_2).gen(), {"n_2": n_2, "z_min_poly": str(TABLE_ROWS[n_2][1])}
 
 
 def factor_artin_schreier(inst: ArtinSchreierInstance):

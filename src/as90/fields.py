@@ -316,6 +316,8 @@ class FieldElem:
     def inv(self) -> "FieldElem":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        if not any(self.coeffs[1:]):  # a scalar of F_p
+            return self.ctx.elem(pow(self.coeffs[0], -1, self.ctx.p))
         from .polys import xgcd
 
         g, s, _ = xgcd(self.to_poly(), self.ctx.modulus)

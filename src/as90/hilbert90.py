@@ -94,6 +94,17 @@ def _check_generator(ctx: FieldCtx, k: int):
         raise BadInput(f"sigma^{k} does not generate the Galois group of order {ctx.m}")
 
 
+def _trace_one(zeta: FieldElem, ctx: FieldCtx) -> FieldElem:
+    """zeta, from ctx or a subfield context, embedded into ctx and divided
+    by its trace onto GF(q): every witness is scaled to trace 1 here.  A
+    zeta of trace zero raises TraceNotOne."""
+    z = subfield_embed(zeta, ctx)
+    tau = trace(z, ctx.f)
+    if tau.is_zero():
+        raise TraceNotOne(f"the witness {zeta} has trace 0 onto {ctx.q}")
+    return z if tau == 1 else z / tau
+
+
 def find_trace_one(
     ctx: FieldCtx,
     target_e: int | None = None,
@@ -104,16 +115,17 @@ def find_trace_one(
 
     target_e defaults to n_p, the p-part of the extension degree, which
     is the smallest degree any trace-one witness can have.  For the
-    default degree the witness is the least z, by coefficient tuple, in
-    the fixed field K of sigma^{n_p} with trace (n_p')^{-1} onto F: the
-    least solution of a linear system, by one row reduction.  Its degree
-    is n_p, as the trace onto F vanishes on each proper subfield of K;
-    for n_p = 1 it is the scalar 1/m.  Larger degrees (multiples of n_p
-    dividing the extension degree), and any degree with ``randomize``,
-    use seeded rejection sampling: draw zeta in the degree-target
-    subfield, reject on wrong degree or vanishing trace, return zeta
-    scaled by its inverse trace.  Either witness is built in that
-    subfield and embedded into ctx once.
+    default degree zeta is the least element, by coefficient tuple, of
+    the fixed field K of sigma^{n_p} with trace 1 onto F: the least
+    solution of a linear system, by one row reduction.  Its degree is
+    n_p, as the trace onto F vanishes on each proper subfield of K; for
+    n_p = 1, zeta = 1.  Larger degrees (multiples of n_p dividing the
+    extension degree), and any degree with ``randomize``, use seeded
+    rejection sampling: zeta is the first draw from the degree-target
+    subfield of that degree with nonzero trace.  Either way z is zeta
+    embedded into E and divided by its trace there, by ``_trace_one``:
+    for the default degree that trace is the scalar n_p' = m / n_p, so z
+    is the least element of K with trace (n_p')^{-1} onto F.
     """
     p, m = ctx.p, ctx.m
     m_p = p_part(m, p)
@@ -124,38 +136,27 @@ def find_trace_one(
             f"got {target}"
         )
     solved = target == m_p and not randomize
-    scale = (m // target) % p  # m / target divides m / m_p, prime to p
     if solved and m_p == 1:
-        z = ctx.elem(pow(scale, -1, p))
+        zeta = ctx.one()
     else:
         sub = ctx if ctx.f * target == ctx.n else make_ctx(p, ctx.f * target, f=ctx.f)
         if solved:
-            want = sub.elem(pow(scale, -1, p))
             cols = [trace(sub.elem((0,) * k + (1,)), sub.f).coeffs for k in range(sub.n)]
             # reversed, the free coordinates set to 0 are the lowest possible
-            combo = solve_in_span(cols[::-1], want.coeffs, p)
-            z0 = sub.elem((combo or ())[::-1])  # no solution gives 0, refused below
-            if trace(z0, sub.f) != want or degree_over_subfield(z0, sub.f) != m_p:
+            combo = solve_in_span(cols[::-1], sub.one().coeffs, p)
+            zeta = sub.elem((combo or ())[::-1])  # no solution gives 0, refused below
+            if degree_over_subfield(zeta, sub.f) != m_p:
                 raise RuntimeError(f"no trace-one witness of degree {m_p} in {sub.describe()}")
         else:
             rng = Random(seed)
             for _ in range(64):
                 zeta = sub.random_element(rng)
-                if zeta.is_zero() or degree_over_subfield(zeta, sub.f) != target:
-                    continue
-                tau = trace(zeta, sub.f) * scale
-                if not tau.is_zero():
-                    z0 = zeta / tau
+                if degree_over_subfield(zeta, sub.f) == target and trace(zeta, sub.f) != 0:
                     break
             else:
-                raise RandomRetriesExhausted(
-                    f"no usable witness after 64 draws (seed {seed})"
-                )
-        z = z0 if sub is ctx else subfield_embed(z0, ctx)
-    if trace(z, ctx.f) != 1:
-        raise RuntimeError(f"witness {z} does not have trace 1")
+                raise RandomRetriesExhausted(f"no usable witness after 64 draws (seed {seed})")
     provenance = "deterministic-subfield" if solved else f"random-scaled(seed={seed})"
-    return TraceOneWitness(z=z, e=target, provenance=provenance)
+    return TraceOneWitness(z=_trace_one(zeta, ctx), e=target, provenance=provenance)
 
 
 def partial_trace_sequence(z: FieldElem, length: int | None = None, k: int = 1) -> PartialTraceSeq:

@@ -1,6 +1,7 @@
 """Constructive roots of t^q - t - y: the specialized witnesses, the
 dispatcher, and the brute-force oracle they are all measured against."""
 
+import ast
 import json
 from pathlib import Path
 from random import Random
@@ -24,7 +25,7 @@ from as90.artin_schreier import (
     root_via_prime_r,
     table_exponent_sequence,
 )
-from as90 import artin_schreier, hilbert90
+from as90 import artin_schreier, hilbert90, polys
 from as90.bigpoly import TABLE_ROWS
 from as90.errors import (
     BadInput,
@@ -32,6 +33,7 @@ from as90.errors import (
     FieldTooLarge,
     NoRoot,
     NotApplicable,
+    TraceNotOne,
     UnsupportedTwoPart,
     WrongCongruence,
     WrongNpCase,
@@ -296,20 +298,24 @@ def test_prime_r_r7_over_f2_n15():
 
 
 def test_prime_r_witness_period():
-    # rebuild the witness from the notes and measure its period afresh
+    # rebuild the witness from the notes and measure its period afresh;
+    # the constructor checks the period of zeta in GF(p^e), and the z the
+    # root is built from, in E, must have it too
     from as90.fields import subfield_embed
     from as90.polys import PrimePoly
 
-    ctx = make_ctx(2, 6)
-    rng = Random(50)
-    y = trace_zero_sample(ctx, rng)
-    rs = root_via_prime_r(inst(ctx, y), 3)
-    e, tau = rs.notes["e"], rs.notes["tau"]
-    sub = make_ctx(2, e, modulus=PrimePoly.parse(rs.notes["zeta_min_poly"], 2))
-    scalar = pow((ctx.n // e) * tau % 2, -1, 2)
-    z = subfield_embed(sub.gen(), ctx) * scalar
-    terms = partial_trace_terms(z, 4 * e)
-    assert naive_period(terms, 2 * e) == e * ctx.p == 4
+    for p, n, r, period in [(2, 6, 3, 4), (2, 15, 7, 6), (3, 4, 5, 12)]:
+        ctx = make_ctx(p, n)
+        rng = Random(50)
+        y = trace_zero_sample(ctx, rng)
+        rs = root_via_prime_r(inst(ctx, y), r)
+        e, tau = rs.notes["e"], rs.notes["tau"]
+        sub = make_ctx(p, e, modulus=PrimePoly.parse(rs.notes["zeta_min_poly"], p))
+        scalar = pow((ctx.n // e) * tau % p, -1, p)
+        z = subfield_embed(sub.gen(), ctx) * scalar
+        assert artin_schreier._witness(ctx, "prime_r", r)[0] == z
+        terms = partial_trace_terms(z, 2 * period + 1)
+        assert naive_period(terms, period) == e * p == period, (p, n, r)
 
 
 # -- cube root of unity witness (p = 2 mod 3) ------------------------------------
@@ -755,6 +761,101 @@ def test_second_query_builds_no_witness(monkeypatch, field, ctor, args):
     assert calls == []
 
 
+#: str of the witness ``_witness(ctx, method, *args)[0]`` by field
+#: (p, n, f, modulus) and (method, *args), for every constructor that
+#: applies, on the warm-roots fields and the fields above
+PINNED_CONSTRUCTOR_WITNESSES = [
+    ((2, 8, 1, None), ("table",), "t^6+t^5"),
+    ((2, 8, 1, None), ("general",), "t^7"),
+    ((2, 64, 1, None), ("general",), "t^62"),
+    ((3, 40, 1, None), ("coprime",), "1"),
+    ((3, 40, 1, None), ("general",), "1"),
+    ((3, 40, 1, None), ("prime_r", 5),
+     "2t^39+2t^37+2t^35+t^34+t^33+t^32+2t^31+t^30+t^27+2t^26+t^25+t^21+t^19"
+     "+t^17+2t^15+t^14+2t^13+2t^12+2t^9+2t^8+t^7+t^6+t^5+2t^4+t^2"),
+    ((5, 27, 1, None), ("coprime",), "3"),
+    ((5, 27, 1, None), ("general",), "3"),
+    ((65521, 4, 1, None), ("coprime",), "49141"),
+    ((65521, 4, 1, None), ("general",), "49141"),
+    ((65521, 4, 1, None), ("prime_r", 3), "49141"),
+    ((65521, 4, 1, None), ("prime_r", 5), "49141"),
+    ((65521, 4, 1, None), ("prime_r", 7), "49141"),
+    ((2**32 - 5, 2, 1, None), ("coprime",), "2147483646"),
+    ((2**32 - 5, 2, 1, None), ("general",), "2147483646"),
+    ((2**32 - 5, 2, 1, None), ("p2mod3",), "4166345219t+2147483646"),
+    ((2**32 - 5, 2, 1, None), ("prime_r", 3), "4166345219t+2147483646"),
+    ((2**32 - 5, 2, 1, None), ("prime_r", 5), "2147483646"),
+    ((2**32 - 5, 2, 1, None), ("prime_r", 7), "73753613t+2147483646"),
+    ((7, 14, 1, None), ("np_p",), "6t^9+2t^8+5t^7+t^5+t^4+3t^3+t"),
+    ((7, 14, 1, None), ("general",),
+     "6t^13+4t^12+5t^11+5t^10+6t^9+5t^8+t^7+6t^6+6t^5+t^3+2t^2+3t"),
+    ((3, 12, 2, None), ("general",), "t^10+2t^9+t^5+t^4+t^3+2t^2+t"),
+    ((2, 32, 1, "t^32+t^31+t^3+t+1"), ("table",), "t"),
+    ((2, 32, 1, "t^32+t^31+t^3+t+1"), ("general",), "t^31"),
+    ((2, 12, 1, None), ("table",), "t^6"),
+    ((2, 12, 1, None), ("general",), "t^9+t^6+t^3+1"),
+    ((2, 12, 1, None), ("prime_r", 5), "t^9"),
+    ((5, 4, 1, None), ("coprime",), "4"),
+    ((5, 4, 1, None), ("general",), "4"),
+    ((5, 4, 1, None), ("p2mod3",), "2t^3+t^2+2"),
+    ((5, 4, 1, None), ("prime_r", 3), "2t^3+t^2+2"),
+    ((2, 15, 1, None), ("coprime",), "1"),
+    ((2, 15, 1, None), ("table",), "1"),
+    ((2, 15, 1, None), ("general",), "1"),
+    ((2, 15, 1, None), ("prime_r", 7), "t^13+t^8+t^7+t^5+1"),
+    ((5, 10, 1, None), ("np_p",), "2t^9+2t^8+3t^6+t^5+4t^3+t^2+4t"),
+    ((5, 10, 1, None), ("general",), "2t^9+2t^8+3t^7+3t^6+3t^4+2t^2+t+4"),
+    ((3, 9, 1, None), ("general",), "t^7"),
+]
+
+
+@pytest.mark.parametrize("field, key, want", PINNED_CONSTRUCTOR_WITNESSES)
+def test_constructor_witnesses_pinned(field, key, want):
+    p, n, f, modulus = field
+    z, _ = artin_schreier._witness(make_ctx(p, n, modulus=modulus, f=f), *key)
+    assert str(z) == want
+    assert trace(z, f) == 1
+
+
+def test_zero_trace_witness_refused_and_not_cached(monkeypatch):
+    ctx = make_ctx(2, 4)
+    zeta = next(c for c in ctx.elements_lex() if not c.is_zero() and trace(c, 1).is_zero())
+    with pytest.raises(TraceNotOne):
+        hilbert90._trace_one(zeta, ctx)
+    # a witness builder handing over such a zeta: nothing is cached for it
+    monkeypatch.setitem(artin_schreier._WITNESSES, "zero_trace", lambda ctx: (zeta, {}))
+    with pytest.raises(TraceNotOne):
+        artin_schreier._witness(ctx, "zero_trace")
+    assert ("zero_trace",) not in ctx._cache.get("witness", {})
+
+
+#: (p, n, modulus) of the warm-roots fields over the prime subfield
+WARM_PRIME_FIELDS = [(2, 8, None), (2, 64, None), (3, 40, None), (5, 27, None),
+                     (65521, 4, None), (2**32 - 5, 2, None), (7, 14, None),
+                     (2, 32, "t^32+t^31+t^3+t+1")]
+WITNESS_KEYS = [("coprime",), ("table",), ("np_p",), ("general",), ("p2mod3",),
+                ("prime_r", 3), ("prime_r", 5), ("prime_r", 7)]
+
+
+@pytest.mark.parametrize("p, n, modulus", WARM_PRIME_FIELDS)
+def test_witness_scaling_needs_no_polynomial_inverse(monkeypatch, p, n, modulus):
+    # over F_p the trace of a witness is a scalar, so dividing by it takes
+    # no extended gcd; the embedding images are cached by the first build
+    ctx = make_ctx(p, n, modulus=modulus)
+    keys = [key for key in WITNESS_KEYS if key != ("prime_r", p)]
+    built = {key: artin_schreier._witness(ctx, *key) for key in keys}
+    built = {key: got for key, got in built.items() if not isinstance(got, NotApplicable)}
+    sampled = [find_trace_one(ctx, seed=seed, randomize=True) for seed in (0, 1)]
+
+    def refuse(*args):
+        raise AssertionError("xgcd called")
+
+    monkeypatch.setattr(polys, "xgcd", refuse)
+    monkeypatch.setitem(ctx._cache, "witness", {})
+    assert {key: artin_schreier._witness(ctx, *key) for key in built} == built
+    assert [find_trace_one(ctx, seed=seed, randomize=True) for seed in (0, 1)] == sampled
+
+
 def test_results_do_not_share_notes():
     rng = Random(60)
     for p, n, f in [(2, 3, 1), (2, 12, 1), (3, 9, 1), (7, 14, 1), (5, 4, 1)]:
@@ -834,3 +935,41 @@ def test_public_constructor_still_refuses_nonzero_trace():
         with pytest.raises(NoRoot):
             root_general(inst(ctx, y))
     assert isinstance(factor_artin_schreier(inst(ctx, y)), IrreducibilityReport)
+
+
+def _calls_by_function(module):
+    """For each top-level function of the module: whether it calls
+    subfield_embed, whether it divides with ``/`` or ``.inv()``, and
+    whether it takes an inverse mod p with ``pow(., -1, .)``."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = {"embed": set(), "divide": set(), "pow_inverse": set()}
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                found["divide"].add(top.name)
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "inv":
+                found["divide"].add(top.name)
+            if isinstance(func, ast.Name) and func.id == "subfield_embed":
+                found["embed"].add(top.name)
+            if (isinstance(func, ast.Name) and func.id == "pow" and len(node.args) == 3
+                    and ast.unparse(node.args[1]) == "-1"):
+                found["pow_inverse"].add(top.name)
+    return found
+
+
+def test_witnesses_are_embedded_and_scaled_in_one_place():
+    # a root constructor and find_trace_one hand over the paper's zeta;
+    # hilbert90._trace_one alone embeds it into E and divides it by its
+    # trace.  root_p2mod3 embeds omega for its notes, and root_coprime's
+    # scalar 1/m already has trace 1.
+    found = {key: set() for key in ("embed", "divide", "pow_inverse")}
+    for module in (artin_schreier, hilbert90):
+        for key, names in _calls_by_function(module).items():
+            found[key] |= names
+    assert found == {"embed": {"_trace_one", "root_p2mod3"}, "divide": {"_trace_one"},
+                     "pow_inverse": {"root_coprime"}}

@@ -3,7 +3,7 @@ irreducibility, factorization, and the default-modulus rule."""
 
 from functools import lru_cache
 import operator
-from itertools import product
+from itertools import islice, product
 from random import Random
 
 import pytest
@@ -16,6 +16,7 @@ from as90.polys import (
     _F2Reducer,
     _Map,
     _Reducer,
+    _count_vectors,
     _f2_mul,
     _fold_columns,
     _frobenius_columns,
@@ -1144,3 +1145,10 @@ def test_is_irreducible_matches_first_distinct_degree_piece(p, top):
             want = next(ref_distinct_degree_split(f))[1] == n
             assert is_irreducible(f) == want, f
             assert (next(distinct_degree_split(f))[1] == n) == want, f
+
+
+def test_count_vectors_is_lazy():
+    # the first vectors over a 64-bit prime come without materializing
+    # range(p), as itertools.product would before yielding anything
+    assert list(islice(_count_vectors(2**64 - 59, 4), 3)) == [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2)]
