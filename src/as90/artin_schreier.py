@@ -19,11 +19,13 @@ where a closed form is available:
 A constructor is only its preconditions and its witness: it hands over
 the paper's zeta, which ``hilbert90._trace_one`` embeds into E and
 divides by its trace to give z.  z depends on the field, not on y, so
-it is built once per field context, and each later call costs a trace
-check and one R(y, z), which re-verifies its output.  A constructor
-whose preconditions fail raises NotApplicable, and the dispatcher tries
-the next one.  An exhaustive search is kept as an independent oracle at
-small sizes.
+it is built once per field context together with its multipliers for
+R(., z) (``hilbert90._multipliers``).  Each later call costs a trace
+check and the y-dependent half of R(y, z) alone, two cached Frobenius
+applications and one fused product per doubling join, and the root is
+re-verified.  A constructor whose preconditions fail raises
+NotApplicable, and the dispatcher tries the next one.  An exhaustive
+search is kept as an independent oracle at small sizes.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .fields import (
     subfield_embed,
     trace,
 )
-from .hilbert90 import TraceOneWitness, _certified, _trace_one, find_trace_one, r_form
+from .hilbert90 import TraceOneWitness, _certified, _multipliers, _trace_one, find_trace_one, r_form
 from .intfactor import p_part
 from .periodicity import partial_sum_period, partial_trace_terms
 from .polys import PrimePoly, _count_vectors
@@ -184,8 +186,9 @@ def _constructor(method: str):
     ``witness`` raises a NotApplicable error when the field fails its
     preconditions and otherwise returns zeta, which ``_trace_one`` scales
     to the witness z, and the notes to report with it.  Both depend on
-    the field alone, so ``_witness`` builds them once per context; each
-    call then only checks the trace criterion and evaluates R(y, z).
+    the field alone, so ``_witness`` builds them, with z's multipliers,
+    once per context; each call then only checks the trace criterion and
+    evaluates R(y, z).
     """
     def wrap(witness):
         _WITNESSES[method] = witness
@@ -204,9 +207,10 @@ def _constructor(method: str):
 
 
 def _witness(ctx: FieldCtx, method: str, *args, **kwargs):
-    """The (z, notes) of a constructor for ctx, kept in
+    """The (z, notes, cs) of a constructor for ctx, kept in
     ``ctx._cache["witness"]`` under the method and the further arguments
-    (r for prime_r); z is the constructor's zeta after ``_trace_one``.
+    (r for prime_r); z is the constructor's zeta after ``_trace_one`` and
+    cs its ``_multipliers`` for sigma.
     When the preconditions fail, the NotApplicable error the build raised
     is kept and returned in its place, so they are evaluated once."""
     built = ctx._cache.setdefault("witness", {})
@@ -218,7 +222,8 @@ def _witness(ctx: FieldCtx, method: str, *args, **kwargs):
         except NotApplicable as exc:
             got = built[key] = exc.with_traceback(None)
         else:
-            got = built[key] = (_trace_one(zeta, ctx), notes)
+            z = _trace_one(zeta, ctx)
+            got = built[key] = (z, notes, _multipliers(z))
     return got
 
 
@@ -231,10 +236,12 @@ def _require_root(inst: ArtinSchreierInstance) -> None:
         )
 
 
-def _root_set(inst, method, z, notes) -> RootSet:
+def _root_set(inst, method, z, notes, cs) -> RootSet:
     """The roots based at R(y, z), with a copy of ``notes``, for y and z
-    whose traces are checked; the root is verified by sigma(x) - x = y."""
-    return RootSet(inst.ctx, _certified(inst.y, z).x, inst.ctx.q, method, True, dict(notes))
+    whose traces are checked and z's multipliers cs; the root is verified
+    by sigma(x) - x = y."""
+    return RootSet(inst.ctx, _certified(inst.y, z, 1, cs).x, inst.ctx.q, method, True,
+                   dict(notes))
 
 
 @_constructor("general")

@@ -219,8 +219,9 @@ def make_ctx(p: int, n: int, modulus=None, f: int = 1) -> FieldCtx:
 class _Kernel:
     """Packed arithmetic of one field context, kept in ``ctx._cache``.
 
-    A slot holds the n products of residues of a field product.  ``red``
-    maps c_n ... c_(2n-2) to sum_k c_(n+k) t^(n+k) mod g, k < n - 1
+    A slot holds the n products of residues of a field product plus one
+    residue, so ``mul_add`` adds into the packed product before the fold.
+    ``red`` maps c_n ... c_(2n-2) to sum_k c_(n+k) t^(n+k) mod g, k < n - 1
     (``polys._fold_columns``), so a product reduces in one ``apply_add``.
     """
 
@@ -228,13 +229,23 @@ class _Kernel:
 
     def __init__(self, ctx: FieldCtx):
         self.p, self.n = ctx.p, ctx.n
-        _, self.pack, self.unpack = _packer(ctx.p, ctx.n)
+        _, self.pack, self.unpack = _packer(ctx.p, ctx.n + 1)
         self.red = _Map(ctx.p, ctx.n, _fold_columns(ctx.modulus))
 
     def mul(self, a, b) -> tuple:
         n = self.n
         prod = self.unpack(self.pack(a) * self.pack(b), 2 * n - 1)
         return self.red.apply_add(prod[n:], prod[:n])
+
+    def mul_add(self, a, b, c) -> tuple:
+        """a * b + c, with c added into the low slots of the packed product."""
+        n = self.n
+        prod = self.unpack(self.pack(a) * self.pack(b) + self.pack(c), 2 * n - 1)
+        return self.red.apply_add(prod[n:], prod[:n])
+
+    def scale(self, a, c: int) -> tuple:
+        """c * a for an int c: one packed product by c mod p."""
+        return tuple(self.unpack(c % self.p * self.pack(a), self.n))
 
     def add(self, a, b) -> tuple:
         return tuple(self.unpack(self.pack(a) + self.pack(b), self.n))
@@ -243,7 +254,7 @@ class _Kernel:
         return tuple(self.unpack(self.pack(a) + (self.p - 1) * self.pack(b), self.n))
 
     def neg(self, a) -> tuple:
-        return tuple(self.unpack((self.p - 1) * self.pack(a), self.n))
+        return self.scale(a, self.p - 1)
 
 
 def _kernel(ctx: FieldCtx) -> _Kernel:
@@ -306,6 +317,8 @@ class FieldElem:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return FieldElem(self.ctx, _kernel(self.ctx).scale(self.coeffs, other))
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -350,7 +363,7 @@ class FieldElem:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self == self.ctx.elem(other)
+            return self.coeffs[0] == other % self.ctx.p and not any(self.coeffs[1:])
         return (
             isinstance(other, FieldElem)
             and self.ctx == other.ctx

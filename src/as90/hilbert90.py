@@ -177,32 +177,68 @@ def partial_trace_sequence(z: FieldElem, length: int | None = None, k: int = 1) 
                            e=degree_over_subfield(z, ctx.f), period=partial_sum_period(z, k))
 
 
-def _r_raw(a: FieldElem, b: FieldElem, k: int = 1) -> FieldElem:
+def _multipliers(b: FieldElem, k: int = 1) -> dict:
+    """The multipliers of b for R(., b): c_i = sigma^{-2^i k}(x_{2^i}),
+    x_j = sum_{l<j} sigma^{lk}(b), keyed by the shift 2^i k, 2^i <= m.
+
+    No inverse power is needed: as sigma^{km} = 1, c_i = x_m - x_{m-2^i}.
+    The x_{2^i} double, x_{2^(i+1)} = x_{2^i} + sigma^{2^i k}(x_{2^i}); x_m
+    joins them along the bits of m, low first, as ``fields._walk`` does;
+    and x_{m-2^(i-1)} = x_{2^(i-1)} + sigma^{2^(i-1) k}(x_{m-2^i}) runs down
+    from x_{m-2^top}, the low bits of m.  So the multipliers cost O(log m)
+    applications of the Frobenius powers that ``_r_raw`` uses anyway.
+    """
+    ctx = b.ctx
+    kern = _kernel(ctx)
+    top = ctx.m.bit_length() - 1
+
+    def frob(i):
+        return _frob_cols(ctx, ctx.f * (k << i))
+
+    xs = [b.coeffs]  # xs[i] = x_{2^i}
+    for i in range(top):
+        xs.append(frob(i).apply_add(xs[i], xs[i]))
+    rest = (0,) * ctx.n  # x of the low bits of m read so far
+    for i in range(top):
+        if ctx.m >> i & 1:
+            rest = frob(i).apply_add(rest, xs[i])
+    total = frob(top).apply_add(rest, xs[top]) if ctx.m > 1 << top else xs[top]
+    cs = {}
+    for i in range(top, -1, -1):
+        cs[k << i] = kern.sub(total, rest)  # rest = x_{m-2^i}
+        if i:
+            rest = frob(i - 1).apply_add(rest, xs[i - 1])
+    return cs
+
+
+def _r_raw(a: FieldElem, b: FieldElem, k: int = 1, cs: dict | None = None) -> FieldElem:
     """R(a, b) = sum_{i<m} x_i sigma^{ik}(a), x_i = sum_{j<i} sigma^{jk}(b),
-    no checks.
+    no checks; ``cs`` are b's ``_multipliers`` for k, built here when the
+    caller keeps none.
 
     Evaluated by the doubling walk ``fields._walk``.  A block of length
-    L is (A, X, Y) = (sum_{i<L} x_i sigma^{ik}(a), x_L,
-    sum_{i<L} sigma^{ik}(a)), three coefficient tuples, and R(a, b) is
-    the A of the block of length m.  Block ``first`` followed by block
-    ``second``, where F = sigma^shift shifts by len(first), is
-    (F(A2) + A1 + X1 F(Y2), F(X2) + X1, Y1 + F(Y2)): three applications
-    of the cached map F and one kernel product.  So a call costs
-    O(log m) cached Frobenius powers instead of 2m Frobenius steps, and
-    builds one FieldElem, the answer.
+    L is (A, Y) = (sum_{i<L} x_i sigma^{ik}(a), sum_{i<L} sigma^{ik}(a)),
+    two coefficient tuples, and R(a, b) is the A of the block of length
+    m.  The walk's first block is always a doubling block, of length
+    2^i, and with F = sigma^{2^i k} its x_{2^i} is F(c_i).  So block
+    ``first`` followed by block ``second`` is
+    (A1 + F(A2 + c_i Y2), Y1 + F(Y2)): two applications of the cached
+    map F and one fused kernel product ``mul_add``.  A call costs
+    O(log m) cached Frobenius powers, does no work on b once cs is
+    given, and builds one FieldElem, the answer.
     """
     ctx = a.ctx
     kern = _kernel(ctx)
+    if cs is None:
+        cs = _multipliers(b, k)
 
     def join(first, second, shift):
-        a1, x1, y1 = first
-        a2, x2, y2 = second
+        a1, y1 = first
+        a2, y2 = second
         frob = _frob_cols(ctx, ctx.f * shift)
-        y2 = frob.apply(y2)
-        return (frob.apply_add(a2, kern.add(a1, kern.mul(x1, y2))), frob.apply_add(x2, x1),
-                kern.add(y1, y2))
+        return frob.apply_add(kern.mul_add(cs[shift], y2, a2), a1), frob.apply_add(y2, y1)
 
-    return FieldElem(ctx, _walk(ctx.m, k, ((0,) * ctx.n, b.coeffs, a.coeffs), join)[0])
+    return FieldElem(ctx, _walk(ctx.m, k, ((0,) * ctx.n, a.coeffs), join)[0])
 
 
 def r_form(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
@@ -229,10 +265,11 @@ def _check_pair(y: FieldElem, z: FieldElem, k: int):
         raise TraceNotOne("witness z must have trace 1")
 
 
-def _certified(y: FieldElem, z: FieldElem, k: int = 1) -> RootCertificate:
+def _certified(y: FieldElem, z: FieldElem, k: int = 1, cs: dict | None = None) -> RootCertificate:
     """r_form(y, z, k) for a caller that has already checked its
-    preconditions; the root is still verified by sigma^k(x) - x = y."""
-    x = _r_raw(y, z, k)
+    preconditions, with z's ``_multipliers`` ``cs`` if it keeps them; the
+    root is still verified by sigma^k(x) - x = y."""
+    x = _r_raw(y, z, k, cs)
     if frobenius(x, k) - x != y:
         raise RuntimeError("cocycle identity failed; arithmetic is broken")
     return RootCertificate(y=y, z=z, x=x, k=k, checked=True)

@@ -812,7 +812,7 @@ PINNED_CONSTRUCTOR_WITNESSES = [
 @pytest.mark.parametrize("field, key, want", PINNED_CONSTRUCTOR_WITNESSES)
 def test_constructor_witnesses_pinned(field, key, want):
     p, n, f, modulus = field
-    z, _ = artin_schreier._witness(make_ctx(p, n, modulus=modulus, f=f), *key)
+    z, _, _ = artin_schreier._witness(make_ctx(p, n, modulus=modulus, f=f), *key)
     assert str(z) == want
     assert trace(z, f) == 1
 

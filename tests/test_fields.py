@@ -1075,6 +1075,58 @@ def test_kernel_extreme_coefficients(pn):
     assert dense(full @ full) == schoolbook_mat_mul(dense(full), dense(full), p)
 
 
+#: the warm-roots fields, and GF(5^14) to GF(5^16) around the byte bound of
+#: n + 1 slot products of (p - 1)^2 = 16: 16 * 15 = 240 fits, 16 * 16 does not
+FUSED_FIELDS = WARM_FIELDS + [(5, 14, 1, None), (5, 15, 1, None), (5, 16, 1, None)]
+
+
+@pytest.mark.parametrize("p, n, f, modulus", FUSED_FIELDS)
+def test_kernel_mul_add_matches_mul_then_add(p, n, f, modulus):
+    ctx = make_ctx(p, n, modulus=modulus, f=f)
+    kern = fields._kernel(ctx)
+    top = (p - 1,) * n
+    triples = [(top, top, top)] + [tuple(e.coeffs for e in rand_elems(ctx, 3, seed))
+                                   for seed in range(20)]
+    for a, b, c in triples:
+        assert kern.mul_add(a, b, c) == kern.add(kern.mul(a, b), c)
+        assert kern.mul_add(a, b, c) == reference_elem(
+            ctx, PrimePoly(p, a) * PrimePoly(p, b) + PrimePoly(p, c))
+
+
+def test_kernel_mul_add_past_the_byte():
+    # over F_2 at n = 255 the middle slot of a product of two all-ones
+    # elements sums 255 products, and mul_add adds one more residue
+    ctx = fields.FieldCtx(2, 255, PrimePoly.x(2, 255) + PrimePoly(2, (1, 1)))
+    ones = (1,) * 255
+    want = reference_elem(ctx, PrimePoly(2, ones) * PrimePoly(2, ones) + PrimePoly(2, ones))
+    assert fields._kernel(ctx).mul_add(ones, ones, ones) == want
+
+
+@pytest.mark.parametrize("p, n, f, modulus", FUSED_FIELDS)
+def test_scale_by_int_matches_kernel_product(monkeypatch, p, n, f, modulus):
+    ctx = make_ctx(p, n, modulus=modulus, f=f)
+    kern = fields._kernel(ctx)
+    elems = [FieldElem(ctx, (p - 1,) * n)] + rand_elems(ctx, 5, p + n)
+    for c in (0, 1, p - 1, p, -1, 2 * p + 3):
+        scalar = ctx.elem(c)
+        for z in elems:
+            want = kern.mul(z.coeffs, scalar.coeffs)
+            assert (z * c).coeffs == want and (c * z).coeffs == want, c
+            assert kern.scale(z.coeffs, c) == want
+        assert (-elems[0]).coeffs == kern.mul(elems[0].coeffs, ctx.elem(-1).coeffs)
+
+    # == with an int compares coefficients and builds no element
+    def refuse(*args):
+        raise AssertionError("ctx.elem called")
+
+    scalars = [(c, ctx.elem(c)) for c in (0, 1, p - 1, p, -1, 2 * p + 3)]
+    elems += [s for _, s in scalars] + [s + ctx.gen() for _, s in scalars]
+    monkeypatch.setattr(fields.FieldCtx, "elem", refuse)
+    for c, scalar in scalars:
+        for z in elems:
+            assert (z == c) == (z.coeffs == scalar.coeffs), (z, c)
+
+
 @pytest.mark.parametrize("pn", sorted(KERNEL_FIELDS))
 def test_kernel_frobenius_matrices_match_primepoly(pn):
     # column i of power j is t^(i p^j) mod g, here the p-th power of the

@@ -7,9 +7,11 @@ import math
 
 import pytest
 
-from as90 import fields
+from as90 import artin_schreier, fields, hilbert90, polys
+from as90.artin_schreier import ArtinSchreierInstance, factor_artin_schreier, root_general
 from as90.errors import NoSuchDegree, TraceNotOne, TraceNotZero
 from as90.fields import (
+    FieldElem,
     degree_over_subfield,
     frobenius,
     make_ctx,
@@ -17,6 +19,8 @@ from as90.fields import (
     trace,
 )
 from as90.hilbert90 import (
+    TraceOneWitness,
+    _multipliers,
     _r_raw,
     find_trace_one,
     p_part,
@@ -189,6 +193,99 @@ def test_r_raw_builds_as_many_elements_at_m_64_as_at_m_8(monkeypatch):
             counts[n] = len(built)
         assert x == expected
     assert counts[8] == counts[64], counts
+
+
+@pytest.mark.parametrize("p, f, m", WARM_SHAPES)
+def test_constructor_root_matches_step_loop(p, f, m):
+    # the constructors' path: the witness and its multipliers cached by
+    # _witness, R(y, z) on the y-dependent half alone
+    ctx = warm_ctx(p, f, m)
+    rng = Random(p + 31 * f + 7 * m)
+    for _ in range(3):
+        y = trace_zero_sample(ctx, rng)
+        rs = factor_artin_schreier(ArtinSchreierInstance(ctx, y))
+        z, _, cs = artin_schreier._witness(ctx, rs.method)
+        assert cs == _multipliers(z)
+        assert rs.base_root == r_by_steps(y, z, 1), rs.method
+
+
+SMALL_R_RAW_CASES = [(p, f, m) for p, f, m in R_RAW_CASES if p ** (f * m) <= 2**20]
+
+
+@pytest.mark.parametrize("p, f, m", SMALL_R_RAW_CASES)
+def test_multipliers_are_shifted_partial_sums(p, f, m):
+    # c_i = sigma^{-2^i k}(x_{2^i}), for every generator sigma^k and 2^i <= m
+    ctx = warm_ctx(p, f, m)
+    b = ctx.random_element(Random(p * f * m))
+    for k in [k for k in range(1, m + 1) if math.gcd(k, m) == 1] + [-1]:
+        cs = _multipliers(b, k)
+        assert sorted(cs) == sorted(k << i for i in range(m.bit_length()))
+        for i in range(m.bit_length()):
+            x = sum((frobenius(b, j * k) for j in range(2**i)), ctx.zero())
+            assert FieldElem(ctx, cs[k << i]) == frobenius(x, -(2**i) * k), (k, i)
+
+
+@pytest.mark.parametrize("p, f, m", WARM_SHAPES)
+def test_warm_queries_build_no_multipliers(monkeypatch, p, f, m):
+    ctx = warm_ctx(p, f, m)
+    rng = Random(m)
+    ys = [trace_zero_sample(ctx, rng) for _ in range(10)]
+    first = factor_artin_schreier(ArtinSchreierInstance(ctx, ys[0])).base_root
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("multipliers rebuilt on a warm query")
+
+    for mod in (hilbert90, artin_schreier):
+        monkeypatch.setattr(mod, "_multipliers", refuse)
+    roots = [factor_artin_schreier(ArtinSchreierInstance(ctx, y)).base_root for y in ys]
+    assert roots[0] == first
+    assert all(frobenius(x, 1) - x == y for x, y in zip(roots, ys))
+
+
+def _cache_shape(ctx):
+    return {key: len(v) if isinstance(v, dict) else None for key, v in ctx._cache.items()}
+
+
+def test_r_form_with_callers_witness_adds_no_cache_entry():
+    ctx = make_ctx(3, 12, f=2)
+    rng = Random(12)
+    r_form(trace_zero_sample(ctx, rng), find_trace_one(ctx).z)
+    before = _cache_shape(ctx)
+    z = find_trace_one(ctx, target_e=6, randomize=True, seed=3).z
+    assert r_form(trace_zero_sample(ctx, rng), z).checked
+    assert root_general(ArtinSchreierInstance(ctx, trace_zero_sample(ctx, rng)),
+                        TraceOneWitness(z, 6, "test")).verified
+    assert _cache_shape(ctx) == before
+
+
+def test_warm_join_is_two_map_applications_and_one_fused_product(monkeypatch):
+    # m = 64: six doubling joins, each two applications of a Frobenius
+    # power and one mul_add, and one more application for the check
+    ctx = make_ctx(2, 64)
+    rng = Random(64)
+    factor_artin_schreier(ArtinSchreierInstance(ctx, trace_zero_sample(ctx, rng)))
+    y = trace_zero_sample(ctx, rng)
+    kern, calls = fields._kernel(ctx), []
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            if self is not kern.red:
+                calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("apply", "apply_add"):
+        counted(polys._Map, name)
+    for name in ("mul", "mul_add"):
+        counted(fields._Kernel, name)
+    rs = factor_artin_schreier(ArtinSchreierInstance(ctx, y))
+    made, joins = list(calls), 6
+    assert frobenius(rs.base_root, 1) - rs.base_root == y
+    assert made.count("apply_add") == 2 * joins and made.count("apply") == 1, made
+    assert made.count("mul_add") == joins and "mul" not in made, made
 
 
 # -- find_trace_one ---------------------------------------------------------
